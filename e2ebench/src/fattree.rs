@@ -13,9 +13,9 @@
 //! depended on how reads and deltas happened to interleave, and the
 //! reader's throughput flipped between two levels from run to run.
 
-use crate::measure::{self, ms, Deck, Hist, Slice};
+use crate::measure::{self, ms, Calibrator, Deck, Hist, Slice};
 use crate::trace::{Counters, Layers, Path, Tracer};
-use crate::{repeated_setup, Class, Config, EndToEnd, RunResult, PLANNER_SHARDS, SLICES};
+use crate::{repeated_setup, Class, Config, EndToEnd, RunResult, PLANNER_SHARDS};
 use netembed::{Engine, Options, Problem, SearchMode};
 use netgraph::{AttrValue, Direction, Network, NodeId};
 use rand::rngs::StdRng;
@@ -36,6 +36,9 @@ const DEGRADE_SHARE: f64 = 0.85;
 /// Far above every query's delay threshold.
 const DEGRADED_DELAY: f64 = 1.0;
 const READ_BUDGET: Duration = Duration::from_millis(50);
+/// The oracle checks every prepared query this many times, evenly
+/// through the window.
+const CHECKPOINTS: u32 = 5;
 
 fn host(quick: bool) -> Network {
     let params = if quick {
@@ -213,23 +216,23 @@ impl Writer {
 
     /// A closed loop of rounds for `window`: each round commits one delta,
     /// then `read`s every prepared query once, in deck order. Returns the
-    /// reads' slice; its time includes the commits.
+    /// reads' slices; their time includes the commits.
     fn rounds(
         &mut self,
         svc: &NetEmbedService,
         window: Duration,
+        cal: &mut Calibrator,
         deck: &mut Deck,
         mut read: impl FnMut(usize) -> (f64, bool),
-    ) -> Slice {
-        let mut slices = measure::closed_loop(window, 1, |_| {
+    ) -> Vec<Slice> {
+        measure::closed_loop(window, cal, |_| {
             if self.reads_left == 0 {
                 self.commit(svc);
                 self.reads_left = QUERIES;
             }
             self.reads_left -= 1;
             read(deck.draw())
-        });
-        slices.pop().expect("one slice")
+        })
     }
 }
 
@@ -283,6 +286,7 @@ pub fn run(cfg: &Config) -> Result<RunResult, String> {
     );
     let mut prepared = prepared?;
     let svc = services.last().expect("at least one setup");
+    let mut cal = Calibrator::default();
     let mut writer = Writer {
         feed: RegistryFeed::new(VecDeque::new(), no_snapshot, FeedConfig::default()),
         churn: Churn::new(&host, cfg.seed),
@@ -292,22 +296,24 @@ pub fn run(cfg: &Config) -> Result<RunResult, String> {
         reads_left: 0,
     };
 
-    // Each slice ends at a checkpoint: the oracle compares every prepared
-    // query with a fresh run on the current snapshot.
+    // At each checkpoint the oracle compares every prepared query with a
+    // fresh run on the current snapshot.
     let untraced = cfg.untraced_window();
     let mut reads = Counters::default();
     let mut slices = Vec::new();
-    for _ in 0..SLICES {
-        slices.push(writer.rounds(svc, untraced / SLICES, &mut deck, |k| {
-            let t = Instant::now();
-            let r = prepared[k].run(&read_options());
-            let latency = ms(t.elapsed());
-            let answered = r.as_ref().is_ok_and(|r| {
-                reads.add(r, false);
-                Class::of(&r.outcome).answered()
-            });
-            (latency, answered)
-        }));
+    for _ in 0..CHECKPOINTS {
+        slices.extend(
+            writer.rounds(svc, untraced / CHECKPOINTS, &mut cal, &mut deck, |k| {
+                let t = Instant::now();
+                let r = prepared[k].run(&read_options());
+                let latency = ms(t.elapsed());
+                let answered = r.as_ref().is_ok_and(|r| {
+                    reads.add(r, false);
+                    Class::of(&r.outcome).answered()
+                });
+                (latency, answered)
+            }),
+        );
         checkpoint(svc, &mut prepared, &queries)?;
     }
     check_feed(svc, &writer)?;
@@ -326,7 +332,7 @@ pub fn run(cfg: &Config) -> Result<RunResult, String> {
     ));
 
     if !cfg.trace {
-        EndToEnd::closed(setup_s, &slices).metrics(cfg.quick, &mut out)?;
+        EndToEnd::closed(setup_s, &slices).metrics(cfg.quick, &cal, &mut out)?;
         return Ok(out);
     }
 
@@ -341,7 +347,7 @@ pub fn run(cfg: &Config) -> Result<RunResult, String> {
     // churn as the untraced reads; replays use the snapshot taken here.
     let mut tracer = Tracer::start(svc, HOST, cfg.seed, layers);
     let options = read_options();
-    writer.rounds(svc, cfg.window - untraced, &mut deck, |k| {
+    writer.rounds(svc, cfg.window - untraced, &mut cal, &mut deck, |k| {
         let (q, c) = &queries[k];
         let p = &mut prepared[k];
         let t = Instant::now();

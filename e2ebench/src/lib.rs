@@ -22,27 +22,17 @@ use netembed::Outcome;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Planner shards and search threads are pinned here, never read from
-/// the environment: at most two threads are busy at once on the
-/// two-core reference box.
+/// Planner shards are pinned here, never read from the environment.
+/// With one shard, every workload does its service work on one thread,
+/// the one that asks (or, in the open loop, waits): on two shared vCPUs
+/// a hand-off to a second thread put the host's wake-up delays into the
+/// latencies, which for minutes at a time doubled `planetlab-enum`'s p90
+/// under `ParallelEcf { threads: 2 }`.
 pub const PLANNER_SHARDS: usize = 1;
-pub const SEARCH_THREADS: usize = 2;
 
 /// Each run sets the service up this many times and reports the median
 /// as `setup_s`.
 pub const SETUP_REPEATS: usize = 3;
-
-/// Closed-loop windows are cut into this many slices; latency
-/// percentiles and throughput report the median over the slices, so a
-/// burst of outside noise moves one slice, not the result.
-pub const SLICES: u32 = 5;
-
-/// The pinned parallel search.
-pub fn parallel_ecf() -> netembed::Algorithm {
-    netembed::Algorithm::ParallelEcf {
-        threads: SEARCH_THREADS,
-    }
-}
 
 /// The four workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,77 +151,90 @@ pub const END_TO_END: [(&str, &str); 5] = [
     ("peak_rss_mb", "MB"),
 ];
 
-/// The end-to-end numbers every workload reports.
+/// The end-to-end numbers every workload reports. Window times are
+/// scaled to the reference speed (see [`measure::Calibrator`]), each
+/// beside its measured value for the notes; set-up times are reported as
+/// measured, because they run before the window and its samples.
 pub struct EndToEnd {
+    /// Set-up times; `setup_s` is their median.
     pub setup_s: Vec<f64>,
-    /// Latency histograms (one per slice, or one per phase); `p50_ms`
-    /// and `p90_ms` are the medians of their percentiles.
-    pub latency: Vec<Hist>,
-    /// Answered requests per second, one per slice; `throughput_rps` is
-    /// their median.
-    pub throughput: Vec<f64>,
+    /// The window's latencies, as measured and scaled; `p50_ms` and
+    /// `p90_ms` are percentiles of the scaled ones over the whole window.
+    pub latency: Hist,
+    pub scaled: Hist,
+    /// Answered requests, and the same answers each weighted by the
+    /// slowdown when it was given.
+    pub answered: u64,
+    pub scaled_answered: f64,
+    /// Seconds the answers took; `throughput_rps` is `scaled_answered`
+    /// per second.
+    pub seconds: f64,
 }
 
 impl EndToEnd {
-    /// Push the end-to-end metrics. Outside `quick` runs, a histogram
-    /// too small for p90 (fewer than ten samples beyond it) is an error
-    /// rather than a number.
-    pub fn metrics(self, quick: bool, out: &mut RunResult) -> Result<(), String> {
-        let mut all = Hist::default();
-        for h in &self.latency {
-            let n = h.count();
-            if n == 0 || (!quick && n < (0.9 * n as f64).ceil() as u64 + 10) {
-                return Err(format!(
-                    "a latency slice of {n} samples does not support p90"
-                ));
-            }
-            all.merge(h);
+    /// Push the end-to-end metrics. Outside `quick` runs, a window too
+    /// small for p90 (fewer than ten samples beyond it) is an error rather
+    /// than a number.
+    pub fn metrics(
+        self,
+        quick: bool,
+        cal: &measure::Calibrator,
+        out: &mut RunResult,
+    ) -> Result<(), String> {
+        let n = self.scaled.count();
+        if n == 0 || (!quick && n < (0.9 * n as f64).ceil() as u64 + 10) {
+            return Err(format!("a window of {n} samples does not support p90"));
         }
-        let pct = |p: f64| {
-            measure::median(
-                &self
-                    .latency
-                    .iter()
-                    .map(|h| h.percentile(p))
-                    .collect::<Vec<_>>(),
-            )
-        };
         let rss = measure::peak_rss_mb().ok_or("cannot read VmHWM from /proc/self/status")?;
         let values = [
             measure::median(&self.setup_s),
-            pct(0.5),
-            pct(0.9),
-            measure::median(&self.throughput),
+            self.scaled.percentile(0.5),
+            self.scaled.percentile(0.9),
+            self.scaled_answered / self.seconds,
             rss,
         ];
         for ((name, unit), value) in END_TO_END.into_iter().zip(values) {
             out.metrics.push(Metric::new(name, value, unit));
         }
-        if let Some(t) = all.tail() {
+        if let Some(t) = self.scaled.tail() {
             out.tails.push(("latency_ms".to_string(), t));
         }
         out.notes.push(format!(
-            "latency samples {} in {} slices, setup runs {:?} s, throughput per slice {:?}",
-            all.count(),
-            self.latency.len(),
+            "as measured: setup runs {:?} s, p50 {:.4} ms, p90 {:.4} ms, {:.2} answered/s over {n} samples",
             self.setup_s,
-            self.throughput
+            self.latency.percentile(0.5),
+            self.latency.percentile(0.9),
+            self.answered as f64 / self.seconds,
         ));
+        out.notes.push(cal.spread());
         let deciles: Vec<String> = (1..10)
-            .map(|d| format!("{:.4}", all.percentile(f64::from(d) / 10.0)))
+            .map(|d| format!("{:.4}", self.scaled.percentile(f64::from(d) / 10.0)))
             .collect();
-        out.notes
-            .push(format!("latency deciles (ms): {}", deciles.join(" ")));
+        out.notes.push(format!(
+            "scaled latency deciles (ms): {}",
+            deciles.join(" ")
+        ));
         Ok(())
     }
 
     /// The end-to-end numbers of a closed loop's slices.
     pub fn closed(setup_s: Vec<f64>, slices: &[measure::Slice]) -> Self {
-        EndToEnd {
+        let mut e = EndToEnd {
             setup_s,
-            latency: slices.iter().map(|s| s.latency.clone()).collect(),
-            throughput: slices.iter().map(measure::Slice::rate).collect(),
+            latency: Hist::default(),
+            scaled: Hist::default(),
+            answered: 0,
+            scaled_answered: 0.0,
+            seconds: 0.0,
+        };
+        for s in slices {
+            e.latency.merge(&s.latency);
+            e.scaled.merge(&s.scaled);
+            e.answered += s.answered;
+            e.scaled_answered += s.answered as f64 * s.slowdown;
+            e.seconds += s.seconds;
         }
+        e
     }
 }
 

@@ -253,7 +253,7 @@ fn main() {
     let cfg = Config {
         workload,
         seed: a.seed,
-        window: Duration::from_secs_f64(a.seconds.unwrap_or(if a.quick { 1.0 } else { 20.0 })),
+        window: Duration::from_secs_f64(a.seconds.unwrap_or(if a.quick { 1.0 } else { 25.0 })),
         trace: a.trace,
         quick: a.quick,
         out: a.out,

@@ -1,7 +1,8 @@
 //! Shared measurement helpers: a constant-memory latency histogram whose
-//! percentiles say how many samples support them, closed and open loops
-//! that cut the window into slices, the span recorder, the
-//! peak-RSS reader and the result-line writer.
+//! percentiles say how many samples support them, the calibrator that
+//! scales times to a reference machine speed, closed and open loops that
+//! cut the window into slices, the span recorder, the peak-RSS reader and
+//! the result-line writer.
 
 use crate::json;
 use std::io::Write;
@@ -127,28 +128,182 @@ pub fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
+/// Timed windows are cut into slices about this long, and each slice is
+/// scaled by the machine's speed measured within it.
+pub const SLICE: Duration = Duration::from_secs(1);
+/// Time of one [`reference_kernel`] run on the reference box (two vCPUs
+/// of a shared Xeon host), in µs: about its median over the runs that
+/// set `baseline.json`. It fixes the scale of every scaled time.
+pub const REFERENCE_KERNEL_US: f64 = 36.0;
+/// Elements the reference kernel sorts.
+const KERNEL_LEN: usize = 2000;
+/// The calibrator samples at most this often, about 1.5% of the time.
+pub const CALIBRATE_EVERY: Duration = Duration::from_millis(5);
+
+/// A fixed piece of work that shares no code with the program: fill a
+/// fresh buffer from a xorshift generator and sort it. Allocation,
+/// branchy comparisons and L1-resident data are what the service's own
+/// work is made of, so the kernel slows down and speeds up with it when
+/// the shared host's load moves.
+fn reference_kernel(seed: u64) -> u64 {
+    let mut x = seed | 1;
+    let mut v: Vec<u64> = (0..KERNEL_LEN)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+        .collect();
+    v.sort_unstable();
+    v[KERNEL_LEN / 2]
+}
+
+/// Measures how fast the machine runs, by timing [`reference_kernel`]
+/// on the thread that does the service's work, between its requests.
+///
+/// The box the benchmark runs on is a few vCPUs of a shared host, whose
+/// speed moves by tens of percent, in steps hundreds of milliseconds
+/// apart and in drifts that last minutes, as its neighbours' load comes
+/// and goes. Every end-to-end time is divided by the *slowdown* measured
+/// alongside it (the kernel's median time over [`REFERENCE_KERNEL_US`]),
+/// which reports it at the reference speed and keeps that drift out of
+/// the comparison between two commits. Samples are spread through the
+/// window, [`CALIBRATE_EVERY`] apart, because a short burst catches only
+/// the speed of its own moment. The raw numbers go to standard error and
+/// the result file.
+#[derive(Debug)]
+pub struct Calibrator {
+    samples: Vec<Sample>,
+    last: Instant,
+}
+
+/// One calibration sample.
+#[derive(Debug, Clone, Copy)]
+struct Sample {
+    /// When its untimed warm-up run started, and when its timed run ended.
+    start: Instant,
+    end: Instant,
+    /// The timed run, in µs.
+    us: f64,
+}
+
+impl Default for Calibrator {
+    fn default() -> Self {
+        Calibrator {
+            samples: Vec::new(),
+            last: Instant::now(),
+        }
+    }
+}
+
+impl Calibrator {
+    /// Run the kernel once untimed, to warm the caches the request before
+    /// it left cold, then once timed: the timed run then does not depend on
+    /// how much memory the service's requests touch.
+    pub fn sample(&mut self) {
+        let start = Instant::now();
+        std::hint::black_box(reference_kernel(std::hint::black_box(0x5EED)));
+        let timed = Instant::now();
+        std::hint::black_box(reference_kernel(std::hint::black_box(0x5EED)));
+        let end = Instant::now();
+        self.last = end;
+        self.samples.push(Sample {
+            start,
+            end,
+            us: us(end - timed),
+        });
+    }
+
+    /// Sample if [`CALIBRATE_EVERY`] has passed since the last sample.
+    pub fn tick(&mut self) {
+        if self.last.elapsed() >= CALIBRATE_EVERY {
+            self.sample();
+        }
+    }
+
+    fn between(&self, from: Instant, to: Instant) -> impl Iterator<Item = &Sample> {
+        self.samples
+            .iter()
+            .filter(move |s| (from..=to).contains(&s.end))
+    }
+
+    /// The slowdown against the reference speed over the samples that
+    /// ended between `from` and `to`, or over every sample when none did
+    /// (one taken now if there are none at all).
+    pub fn slowdown(&mut self, from: Instant, to: Instant) -> f64 {
+        let mut runs: Vec<f64> = self.between(from, to).map(|s| s.us).collect();
+        if runs.is_empty() {
+            if self.samples.is_empty() {
+                self.sample();
+            }
+            runs = self.samples.iter().map(|s| s.us).collect();
+        }
+        median(&runs) / REFERENCE_KERNEL_US
+    }
+
+    /// Time the calibrator took between `from` and `to`.
+    pub fn spent(&self, from: Instant, to: Instant) -> Duration {
+        self.between(from, to).map(|s| s.end - s.start).sum()
+    }
+
+    /// The quartiles of every slowdown measured so far, for the notes.
+    pub fn spread(&self) -> String {
+        let mut v: Vec<f64> = self
+            .samples
+            .iter()
+            .map(|s| s.us / REFERENCE_KERNEL_US)
+            .collect();
+        if v.is_empty() {
+            return "no calibration samples".into();
+        }
+        v.sort_by(f64::total_cmp);
+        let q = |p: f64| v[((v.len() - 1) as f64 * p).round() as usize];
+        format!(
+            "slowdown q1 {:.3} median {:.3} q3 {:.3} over {} samples",
+            q(0.25),
+            q(0.5),
+            q(0.75),
+            v.len()
+        )
+    }
+}
+
 /// What one slice of a timed window saw.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Slice {
+    /// Latencies as measured.
     pub latency: Hist,
+    /// The same latencies at the reference speed: divided by `slowdown`.
+    pub scaled: Hist,
     pub attempted: u64,
     pub answered: u64,
+    /// Seconds the slice took, less the calibrator's runs.
     pub seconds: f64,
+    /// The machine's slowdown during the slice.
+    pub slowdown: f64,
 }
 
 impl Slice {
-    pub fn record(&mut self, latency_ms: f64, answered: bool) {
-        self.latency.add(latency_ms);
-        self.attempted += 1;
-        self.answered += u64::from(answered);
+    /// A slice of `(latency ms, answered)` records.
+    pub fn new(records: &[(f64, bool)], seconds: f64, slowdown: f64) -> Self {
+        let mut s = Slice {
+            latency: Hist::default(),
+            scaled: Hist::default(),
+            attempted: records.len() as u64,
+            answered: 0,
+            seconds,
+            slowdown,
+        };
+        for &(latency, answered) in records {
+            s.latency.add(latency);
+            s.scaled.add(latency / slowdown);
+            s.answered += u64::from(answered);
+        }
+        s
     }
 
-    /// Answered requests per second of the slice.
-    pub fn rate(&self) -> f64 {
-        self.answered as f64 / self.seconds
-    }
-
-    /// Every slice's latencies in one histogram.
+    /// Every slice's latencies, as measured, in one histogram.
     pub fn merged(slices: &[Slice]) -> Hist {
         slices.iter().fold(Hist::default(), |mut h, s| {
             h.merge(&s.latency);
@@ -157,27 +312,39 @@ impl Slice {
     }
 }
 
-/// Closed loop: cut `window` into `slices` equal slices and run `op`
+/// `from..to` cut into equal slices of about [`SLICE`].
+pub fn slices(from: Instant, to: Instant) -> Vec<(Instant, Instant)> {
+    let n = ((to - from).as_secs_f64() / SLICE.as_secs_f64())
+        .round()
+        .max(1.0) as u32;
+    let at = |k: u32| from + (to - from) * k / n;
+    (0..n).map(|k| (at(k), at(k + 1))).collect()
+}
+
+/// Closed loop: cut `window` into slices of about [`SLICE`] and run `op`
 /// back to back through each, recording what `op` returns: the request's
 /// latency in ms and whether it was answered. `op` gets a running
-/// request index.
+/// request index. The calibrator runs between requests.
 pub fn closed_loop(
     window: Duration,
-    slices: u32,
+    cal: &mut Calibrator,
     mut op: impl FnMut(u64) -> (f64, bool),
 ) -> Vec<Slice> {
+    let n = ((window.as_secs_f64() / SLICE.as_secs_f64()).round() as u32).max(1);
     let mut i = 0;
-    (0..slices)
+    let mut records = Vec::new();
+    (0..n)
         .map(|_| {
-            let mut s = Slice::default();
+            records.clear();
             let start = Instant::now();
-            while start.elapsed() < window / slices {
-                let (latency, answered) = op(i);
-                s.record(latency, answered);
+            while start.elapsed() < window / n {
+                records.push(op(i));
                 i += 1;
+                cal.tick();
             }
-            s.seconds = start.elapsed().as_secs_f64();
-            s
+            let end = Instant::now();
+            let seconds = (end - start).saturating_sub(cal.spent(start, end));
+            Slice::new(&records, seconds.as_secs_f64(), cal.slowdown(start, end))
         })
         .collect()
 }
@@ -200,24 +367,47 @@ fn sleep_until(t: Instant) {
     }
 }
 
-/// Open loop: call `send(i, due)` at `rate_hz` for `window`, on a fixed
-/// schedule that does not wait for earlier sends to finish their work
-/// elsewhere. Returns how late each send started against its due time
-/// (the generator's own lag); callers time their requests from `due`.
-pub fn open_loop(
+/// Open loop on one thread: `send(i, due)` runs on a fixed schedule at
+/// `rate_hz` for `window` and returns the requests it made, which queue
+/// here; between sends `serve` takes them one at a time, oldest first.
+/// A send that falls due while `serve` runs goes out as soon as it
+/// returns: callers time their requests from `due`, so that wait counts
+/// as queueing, as it would had another thread sent on time. With
+/// nothing to serve the loop sleeps until the next send, sampling the
+/// calibrator every [`CALIBRATE_EVERY`]; it also samples after each
+/// request served. After the window it serves what is left. Returns how
+/// late each send went out.
+///
+/// One thread keeps hand-offs between threads off the measured path: on
+/// a box of two shared vCPUs, waking a second thread added up to several
+/// milliseconds to a request whenever the host was busy.
+pub fn open_loop<T, R: IntoIterator<Item = T>>(
     rate_hz: f64,
     window: Duration,
-    mut send: impl FnMut(u64, Instant),
+    cal: &mut Calibrator,
+    mut send: impl FnMut(u64, Instant) -> R,
+    mut serve: impl FnMut(T),
 ) -> Vec<Duration> {
     let period = Duration::from_secs_f64(1.0 / rate_hz);
     let count = (window.as_secs_f64() * rate_hz).floor() as u64;
     let start = Instant::now();
     let mut lateness = Vec::with_capacity(count as usize);
+    let mut queue = std::collections::VecDeque::new();
     for i in 0..count {
         let due = start + period.mul_f64(i as f64);
-        sleep_until(due);
+        while Instant::now() < due {
+            match queue.pop_front() {
+                Some(request) => serve(request),
+                None => sleep_until(due.min(Instant::now() + CALIBRATE_EVERY)),
+            }
+            cal.tick();
+        }
         lateness.push(due.elapsed());
-        send(i, due);
+        queue.extend(send(i, due));
+    }
+    for request in queue {
+        serve(request);
+        cal.tick();
     }
     lateness
 }
@@ -474,6 +664,38 @@ mod tests {
     fn median_of_odd_and_even_lists() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+    }
+
+    #[test]
+    fn slices_cover_the_span_in_about_a_second_each() {
+        let t0 = Instant::now();
+        let s = slices(t0, t0 + Duration::from_millis(3400));
+        assert_eq!(s.len(), 3);
+        assert_eq!((s[0].0, s[2].1), (t0, t0 + Duration::from_millis(3400)));
+        assert!(s.windows(2).all(|w| w[0].1 == w[1].0));
+        assert_eq!(slices(t0, t0 + Duration::from_millis(10)).len(), 1);
+    }
+
+    #[test]
+    fn slowdown_uses_the_window_or_falls_back_to_every_sample() {
+        let mut cal = Calibrator::default();
+        let before = Instant::now();
+        cal.sample();
+        let mid = Instant::now();
+        cal.sample();
+        cal.sample();
+        let after = Instant::now();
+        let us: Vec<f64> = cal.samples.iter().map(|s| s.us).collect();
+        assert_eq!(cal.slowdown(before, mid), us[0] / REFERENCE_KERNEL_US);
+        assert_eq!(
+            cal.slowdown(mid, after),
+            median(&us[1..]) / REFERENCE_KERNEL_US
+        );
+        assert_eq!(
+            cal.slowdown(after, after),
+            median(&us) / REFERENCE_KERNEL_US
+        );
+        assert!(cal.spent(before, after) >= Duration::from_secs_f64(us.iter().sum::<f64>() / 1e6));
     }
 
     #[test]

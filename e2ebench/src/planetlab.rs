@@ -7,9 +7,8 @@
 //!   asked by a burst of two users at once: the constraint
 //!   parse, problem compile, filter build on the miss, queueing,
 //!   admission and coalescing do the work; the searches are small.
-//! * `planetlab-enum` — one closed-loop client enumerating with the
-//!   parallel search on prebuilt filters: search, work stealing, the
-//!   worker pool and mapping verification do the work.
+//! * `planetlab-enum` — one closed-loop client enumerating with ECF on
+//!   prebuilt filters: search and mapping verification do the work.
 //!
 //! Both key pools are stratified: a key's kind and size follow from its
 //! index, and the seed draws the rest (which sites a query samples,
@@ -22,11 +21,9 @@
 //! run to run. The hit path is measured by `planetlab-enum` (all hits)
 //! and `fattree-churn` (hits and repairs).
 
-use crate::measure::{self, ms, Deck, Hist, Slice};
+use crate::measure::{self, ms, Calibrator, Deck, Hist, Slice};
 use crate::trace::{self, Counters, Layers, Path, Tracer};
-use crate::{
-    parallel_ecf, repeated_setup, Class, Config, EndToEnd, RunResult, PLANNER_SHARDS, SLICES,
-};
+use crate::{repeated_setup, Class, Config, EndToEnd, RunResult, PLANNER_SHARDS};
 use netembed::{Algorithm, Engine, Mapping, Options, Problem, SearchMode};
 use netgraph::Network;
 use rand::rngs::StdRng;
@@ -36,7 +33,6 @@ use service::{
     ServiceError, ShedMode,
 };
 use std::collections::HashSet;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use topogen::{PlanetlabParams, SubgraphParams, CLIQUE_CONSTRAINT};
 
@@ -192,7 +188,7 @@ fn open_keys(host: &Network, seed: u64, count: usize) -> Vec<Key> {
 /// 64 rings of 6, 7 or 8 nodes whose every link asks for the same
 /// 80 ms-wide delay band, centred between 90 and 200 ms where links are
 /// plentiful: each request enumerates up to 256 mappings, so the
-/// parallel search and the verification of every mapping do the work,
+/// search and the verification of every mapping do the work,
 /// and no key is a pathological outlier. Each ring size gets centres
 /// stratified over the whole range; the seed jitters each centre within
 /// its stratum.
@@ -215,7 +211,7 @@ fn enum_keys(seed: u64) -> Vec<Key> {
                 q,
                 CLIQUE_CONSTRAINT,
                 Options {
-                    algorithm: parallel_ecf(),
+                    algorithm: Algorithm::Ecf,
                     mode: SearchMode::UpTo(ENUM_UP_TO),
                     timeout: Some(ENUM_BUDGET),
                     ..Options::default()
@@ -302,16 +298,20 @@ fn open_setup(host: Network, warmup: &[Key]) -> Result<NetEmbedService, String> 
     Ok(svc)
 }
 
-/// What one phase of the open loop saw, folded as the waiter goes.
+/// What one phase of the open loop saw.
 #[derive(Default)]
 struct Phase {
-    /// Due time to result, for requests the service accepted.
+    /// Due time to result, for requests the service accepted, as
+    /// measured and scaled to the reference speed.
     latency: Hist,
+    scaled: Hist,
     attempted: u64,
     shed: u64,
     failed: u64,
     /// Answered within the request's budget, counted from due time.
     good: u64,
+    /// The same answers, each weighted by the slowdown when it was given.
+    scaled_good: f64,
     counters: Counters,
     /// Every [`OPEN_CHECK_EVERY`]th response, for the off-clock oracle.
     sampled: Vec<(usize, QueryResponse)>,
@@ -323,12 +323,12 @@ impl Phase {
     fn add(
         &mut self,
         keys: &[Key],
-        i: u64,
         key: usize,
-        due: Instant,
+        latency: f64,
+        slowdown: f64,
         r: Result<QueryResponse, ServiceError>,
     ) {
-        let latency = ms(due.elapsed());
+        let i = self.attempted;
         self.attempted += 1;
         let r = match r {
             Ok(r) => r,
@@ -342,8 +342,10 @@ impl Phase {
             }
         };
         self.latency.add(latency);
+        self.scaled.add(latency / slowdown);
         if Class::of(&r.outcome).answered() && latency <= ms(OPEN_BUDGET) {
             self.good += 1;
+            self.scaled_good += slowdown;
         }
         self.counters.add(&r, false);
         if let Err(e) = check_kind(keys[key].kind, &r) {
@@ -356,42 +358,48 @@ impl Phase {
 }
 
 /// One open-loop phase through the planner: bursts at `rate` for
-/// `window`, burst `i` asking for `keys[i]`. The calling thread submits
-/// each burst whole, so its requests coalesce into one group, then hands
-/// the tickets to one spawned thread that waits on them in order.
-/// Returns the phase and the generator's lateness.
+/// `window`, burst `i` asking for `keys[i]`, each burst submitted whole so
+/// its requests coalesce into one group. The same thread waits on the
+/// tickets in order between sends, and waiting runs the planner's
+/// dispatch, so the service's work and the calibrator share that thread.
+/// Each request is scaled by the slowdown of the [`measure::SLICE`] in
+/// which it resolved. Returns the phase and the sends' lateness.
 fn open_phase(
     planner: &Planner<'_>,
+    cal: &mut Calibrator,
     keys: &[Key],
     rate: f64,
     window: Duration,
 ) -> (Phase, Vec<Duration>) {
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| {
-            let mut phase = Phase::default();
-            for (i, (key, due, sub)) in rx.into_iter().enumerate() {
-                let r = match sub {
-                    Ok(ticket) => service::Ticket::wait(ticket),
-                    Err(e) => Err(e),
-                };
-                phase.add(keys, i as u64, key, due, r);
-            }
-            phase
-        });
-        let lateness = measure::open_loop(rate, window, |i, due| {
+    let start = Instant::now();
+    let mut sent = Vec::new();
+    let lateness = measure::open_loop(
+        rate,
+        window,
+        cal,
+        |i, due| {
             let key = i as usize;
-            let burst: Vec<_> = (0..BURST)
-                .map(|_| planner.submit(&keys[key].request))
-                .collect();
-            for sub in burst {
-                tx.send((key, due, sub))
-                    .expect("waiter outlives the generator");
-            }
-        });
-        drop(tx);
-        (waiter.join().expect("waiter thread panicked"), lateness)
-    })
+            (0..BURST)
+                .map(|_| (key, due, planner.submit(&keys[key].request)))
+                .collect::<Vec<_>>()
+        },
+        |(key, due, sub)| {
+            let r = match sub {
+                Ok(ticket) => service::Ticket::wait(ticket),
+                Err(e) => Err(e),
+            };
+            sent.push((key, due, Instant::now(), r));
+        },
+    );
+    let slices = measure::slices(start, Instant::now());
+    let slowdowns: Vec<f64> = slices.iter().map(|&(a, b)| cal.slowdown(a, b)).collect();
+    let mut phase = Phase::default();
+    for (key, due, done, r) in sent {
+        let k = slices.partition_point(|&(_, end)| end < done);
+        let slowdown = slowdowns[k.min(slices.len() - 1)];
+        phase.add(keys, key, ms(done - due), slowdown, r);
+    }
+    (phase, lateness)
 }
 
 /// Bursts an open-loop phase sends.
@@ -418,13 +426,25 @@ pub fn run_open(cfg: &Config) -> Result<RunResult, String> {
         |h| open_setup(h, &warmup),
     );
     let svc = svc?;
+    let mut cal = Calibrator::default();
     let mut out = RunResult::default();
 
     let planner = svc.planner();
-    let (steady, mut lateness) =
-        open_phase(&planner, &keys[..n_steady], STEADY_BURSTS, steady_window);
+    let (steady, mut lateness) = open_phase(
+        &planner,
+        &mut cal,
+        &keys[..n_steady],
+        STEADY_BURSTS,
+        steady_window,
+    );
     let overload_keys = &keys[n_steady..n_steady + n_overload];
-    let (overload, late) = open_phase(&planner, overload_keys, OVERLOAD_BURSTS, overload_window);
+    let (overload, late) = open_phase(
+        &planner,
+        &mut cal,
+        overload_keys,
+        OVERLOAD_BURSTS,
+        overload_window,
+    );
     lateness.extend(late);
     check_ledger(&svc)?;
     for (phase, keys) in [(&steady, &keys[..n_steady]), (&overload, overload_keys)] {
@@ -446,16 +466,19 @@ pub fn run_open(cfg: &Config) -> Result<RunResult, String> {
         h
     });
     if let Some(t) = late.tail() {
-        out.tails.push(("generator_lateness_ms".into(), t));
+        out.tails.push(("send_lateness_ms".into(), t));
     }
 
     if !cfg.trace {
         EndToEnd {
             setup_s,
-            latency: vec![steady.latency],
-            throughput: vec![overload.good as f64 / overload_window.as_secs_f64()],
+            latency: steady.latency,
+            scaled: steady.scaled,
+            answered: overload.good,
+            scaled_answered: overload.scaled_good,
+            seconds: overload_window.as_secs_f64(),
         }
-        .metrics(cfg.quick, &mut out)?;
+        .metrics(cfg.quick, &cal, &mut out)?;
         return Ok(out);
     }
 
@@ -505,10 +528,10 @@ pub fn run_open(cfg: &Config) -> Result<RunResult, String> {
         (latency, r.is_ok())
     };
     let quarter = (cfg.window - untraced) / 2;
-    let baseline = measure::closed_loop(quarter, 1, |_| {
+    let baseline = measure::closed_loop(quarter, &mut cal, |_| {
         issue(traced_keys.next().expect("cycled"), None)
     });
-    measure::closed_loop(quarter, 1, |_| {
+    measure::closed_loop(quarter, &mut cal, |_| {
         issue(traced_keys.next().expect("cycled"), Some(&mut tracer))
     });
     if let Some(e) = fault {
@@ -592,12 +615,13 @@ pub fn run_enum(cfg: &Config) -> Result<RunResult, String> {
         |h| enum_setup(h, &keys),
     );
     let svc = svc?;
+    let mut cal = Calibrator::default();
     let mut out = RunResult::default();
 
     let untraced = cfg.untraced_window();
     let mut counters = Counters::default();
     let mut sampled = Vec::new();
-    let slices = measure::closed_loop(untraced, SLICES, |i| {
+    let slices = measure::closed_loop(untraced, &mut cal, |i| {
         let k = deck.draw();
         let t = Instant::now();
         let r = svc.submit(&keys[k].request);
@@ -632,7 +656,7 @@ pub fn run_enum(cfg: &Config) -> Result<RunResult, String> {
     }
 
     if !cfg.trace {
-        EndToEnd::closed(setup_s, &slices).metrics(cfg.quick, &mut out)?;
+        EndToEnd::closed(setup_s, &slices).metrics(cfg.quick, &cal, &mut out)?;
         return Ok(out);
     }
 
@@ -643,7 +667,7 @@ pub fn run_enum(cfg: &Config) -> Result<RunResult, String> {
     layers.set("service.feed.lag_max", 0.0);
     let untraced_p50 = Slice::merged(&slices).percentile(0.5);
     let mut tracer = Tracer::start(&svc, HOST, cfg.seed, layers);
-    measure::closed_loop(cfg.window - untraced, 1, |_| {
+    measure::closed_loop(cfg.window - untraced, &mut cal, |_| {
         let req = &keys[deck.draw()].request;
         let t = Instant::now();
         let r = tracer.request(

@@ -5,9 +5,9 @@
 //! filter cache is bypassed by design, and the constraint is parsed on
 //! every submit.
 
-use crate::measure::{self, ms, Deck, Slice};
+use crate::measure::{self, ms, Calibrator, Deck, Slice};
 use crate::trace::{Counters, Layers, Path, Tracer};
-use crate::{repeated_setup, Class, Config, EndToEnd, RunResult, PLANNER_SHARDS, SLICES};
+use crate::{repeated_setup, Class, Config, EndToEnd, RunResult, PLANNER_SHARDS};
 use netembed::{Engine, HierarchySpec, Options, Problem, SearchMode};
 use netgraph::{AttrValue, Network, NodeId};
 use rand::Rng;
@@ -148,13 +148,14 @@ pub fn run(cfg: &Config) -> Result<RunResult, String> {
     let mut deck = Deck::new(keys.len(), topogen::rng(cfg.seed ^ 0x5EED));
     let (svc, setup_s) = repeated_setup(cfg.setup_repeats(), || host.clone(), setup);
     let svc = svc?;
+    let mut cal = Calibrator::default();
     let mut out = RunResult::default();
 
     let untraced = cfg.untraced_window();
     let mut counters = Counters::default();
     let mut sampled = Vec::new();
     let mut fault = None;
-    let slices = measure::closed_loop(untraced, SLICES, |i| {
+    let slices = measure::closed_loop(untraced, &mut cal, |i| {
         let k = deck.draw();
         let t = Instant::now();
         let r = svc.submit(&keys[k].request);
@@ -187,7 +188,7 @@ pub fn run(cfg: &Config) -> Result<RunResult, String> {
     out.attempted = slices.iter().map(|s| s.attempted).sum();
 
     if !cfg.trace {
-        EndToEnd::closed(setup_s, &slices).metrics(cfg.quick, &mut out)?;
+        EndToEnd::closed(setup_s, &slices).metrics(cfg.quick, &cal, &mut out)?;
         return Ok(out);
     }
 
@@ -199,7 +200,7 @@ pub fn run(cfg: &Config) -> Result<RunResult, String> {
     let untraced_p50 = Slice::merged(&slices).percentile(0.5);
     let mut tracer = Tracer::start(&svc, HOST, cfg.seed, layers);
     let mut fault = None;
-    measure::closed_loop(cfg.window - untraced, 1, |_| {
+    measure::closed_loop(cfg.window - untraced, &mut cal, |_| {
         let k = &keys[deck.draw()];
         let req = &k.request;
         let t = Instant::now();

@@ -38,7 +38,7 @@ const REPLICA_COMMITS: u64 = 8;
 /// Replayed quantities are medians over the traced requests; counters
 /// read from untraced responses are means per request; ratios and rates
 /// cover the whole untraced pass.
-pub const PER_LAYER: [(&str, &str); 39] = [
+pub const PER_LAYER: [(&str, &str); 35] = [
     ("cexpr.parse_lint_us", "us"),
     ("core.problem.compile_us", "us"),
     ("core.filter.build_ms", "ms"),
@@ -56,10 +56,6 @@ pub const PER_LAYER: [(&str, &str); 39] = [
     ("core.search.ms", "ms"),
     ("core.search.nodes_visited", "count"),
     ("core.search.visits_per_us", "1/us"),
-    ("core.search.cpu_over_wall", "ratio"),
-    ("core.parallel.tasks_spawned", "count"),
-    ("core.parallel.tasks_stolen", "count"),
-    ("core.pool.reuse", "count"),
     ("core.verify.us", "us"),
     ("service.self_us", "us"),
     ("service.cache.hit_ratio", "ratio"),
@@ -131,7 +127,7 @@ pub fn ratio(num: f64, den: f64) -> f64 {
 }
 
 /// The counters each untraced response carries, rolled up. Every
-/// workload feeds its responses here so the cache, planner and parallel
+/// workload feeds its responses here so the cache and planner
 /// metrics come from the run that reports end-to-end numbers.
 #[derive(Debug, Default)]
 pub struct Counters {
@@ -144,9 +140,6 @@ pub struct Counters {
     pub patch_rebuilds: u64,
     pub hier_runs: u64,
     pub hier_hits: u64,
-    pub tasks_spawned: u64,
-    pub tasks_stolen: u64,
-    pub pool_reuse: u64,
 }
 
 impl Counters {
@@ -164,9 +157,6 @@ impl Counters {
         self.coalesced += s.coalesced_requests;
         self.patches += s.patches;
         self.patch_rebuilds += s.patch_rebuilds;
-        self.tasks_spawned += s.tasks_spawned;
-        self.tasks_stolen += s.tasks_stolen;
-        self.pool_reuse += s.pool_reuse;
     }
 
     pub fn merge(&mut self, o: &Counters) {
@@ -179,12 +169,9 @@ impl Counters {
         self.patch_rebuilds += o.patch_rebuilds;
         self.hier_runs += o.hier_runs;
         self.hier_hits += o.hier_hits;
-        self.tasks_spawned += o.tasks_spawned;
-        self.tasks_stolen += o.tasks_stolen;
-        self.pool_reuse += o.pool_reuse;
     }
 
-    /// Cache, parallel and planner-share metrics over a window of
+    /// Cache and planner-share metrics over a window of
     /// `seconds`, plus the admission and planner ledgers from the
     /// service's telemetry (all zero on the direct paths).
     pub fn record(&self, seconds: f64, tel: &ServiceTelemetry, groups: u64, layers: &mut Layers) {
@@ -209,9 +196,6 @@ impl Counters {
             "service.cache.hierarchy_hit_ratio",
             ratio(self.hier_hits as f64, self.hier_runs as f64),
         );
-        layers.set("core.parallel.tasks_spawned", self.tasks_spawned as f64 / n);
-        layers.set("core.parallel.tasks_stolen", self.tasks_stolen as f64 / n);
-        layers.set("core.pool.reuse", self.pool_reuse as f64 / n);
         layers.set(
             "service.planner.coalesced_share",
             ratio(self.coalesced as f64, self.responses as f64),
@@ -459,13 +443,6 @@ impl Tracer {
                 layers.push(
                     "core.search.visits_per_us",
                     ratio(res.stats.nodes_visited as f64, search_us),
-                );
-                layers.push(
-                    "core.search.cpu_over_wall",
-                    ratio(
-                        res.stats.cpu_time.as_secs_f64(),
-                        res.stats.elapsed.as_secs_f64(),
-                    ),
                 );
             }
         }
