@@ -92,7 +92,8 @@ pub enum ShedReason {
     /// (pending groups × dispatch-latency EWMA): it would die in the
     /// queue, so it is answered now instead of occupying a slot.
     DeadlineHopeless,
-    /// The filter cache's in-flight build for this key already has
+    /// A cache's in-flight build for this key (a filter build or a
+    /// substrate coarsening) already has
     /// [`AdmissionPolicy::max_dedup_waiters`] waiters blocked on it.
     DedupWaitersFull,
     /// The service's model feed is degraded and the [`StalenessPolicy`]
@@ -111,7 +112,7 @@ impl std::fmt::Display for ShedReason {
                 write!(f, "deadline cannot survive the estimated queue wait")
             }
             ShedReason::DedupWaitersFull => {
-                write!(f, "in-flight filter build already has the maximum waiters")
+                write!(f, "in-flight cached build already has the maximum waiters")
             }
             ShedReason::StaleModel => {
                 write!(f, "model feed degraded beyond the staleness policy")
@@ -181,9 +182,10 @@ pub struct AdmissionPolicy {
     /// re-queued members score filter-cache hits, so the burst identity
     /// `Σhits + Σcoalesced == N − 1` is unchanged.
     pub max_dispatch_burst: usize,
-    /// Maximum threads allowed to block on one in-flight filter build
-    /// (the cache's dedup table); the excess is shed instead of piling
-    /// onto a single build's completion.
+    /// Maximum threads allowed to block on one in-flight cached build —
+    /// a filter build or a substrate coarsening (the caches' dedup
+    /// tables); the excess is shed instead of piling onto a single
+    /// build's completion.
     pub max_dedup_waiters: usize,
     /// What shed requests resolve to.
     pub shed: ShedMode,
@@ -228,7 +230,7 @@ impl AdmissionPolicy {
         self
     }
 
-    /// Bound the waiters on one in-flight filter build.
+    /// Bound the waiters on one in-flight cached build.
     pub fn max_dedup_waiters(mut self, n: usize) -> Self {
         self.max_dedup_waiters = n;
         self

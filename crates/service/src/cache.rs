@@ -1,93 +1,113 @@
-//! Epoch-keyed filter memoization.
+//! Epoch-keyed memoization of per-model work.
 //!
-//! The first stage of every filter-based search — the `FilterMatrix`
-//! build — is a pure function of `(host model, query, constraint)`.
-//! The registry versions host models with a [`ModelEpoch`], so the
-//! triple collapses to a hashable [`FilterKey`]: `(host name, epoch,
-//! query fingerprint, constraint source)`. A [`FilterCache`] memoizes
-//! built matrices under that key, which is what lets negotiation loops,
-//! `Scheduler::find_window` sweeps and repeated `submit`s stop
-//! rebuilding identical filters: same key → the *same* `Arc`'d matrix
-//! (trivially bitwise-identical); epoch bump → guaranteed miss, because
-//! a registry epoch never repeats (see [`crate::registry`]) — stale
-//! entries can never be served, only evicted.
+//! Two artifacts of a request are pure functions of one host model
+//! version plus a few knobs, and expensive enough to share:
+//!
+//! * the **filter matrix** — the first stage of every filter-based
+//!   search — is a function of `(host model, query, constraint)`;
+//! * the **substrate coarsening** behind a hierarchical run is a
+//!   function of `(host model, coarsening spec)` alone, so one build
+//!   serves every query against that snapshot.
+//!
+//! The registry versions host models with a [`ModelEpoch`], so each
+//! collapses to a hashable key: a [`FilterKey`] `(host name, epoch,
+//! query fingerprint, constraint source)` or a [`HierarchyKey`]
+//! `(host name, epoch, spec)`. One generic [`EpochCache`] memoizes
+//! both — [`FilterCache`] and [`HierarchyCache`] are its two
+//! instantiations — which is what lets negotiation loops,
+//! `Scheduler::find_window` sweeps, repeated `submit`s and repeated
+//! hierarchical runs stop rebuilding identical work: same key → the
+//! *same* `Arc`'d value (trivially bitwise-identical); epoch bump →
+//! guaranteed miss, because a registry epoch never repeats (see
+//! [`crate::registry`]) — stale entries can never be served, only
+//! evicted or repaired.
 //!
 //! ## Eviction
 //!
 //! Two mechanisms bound the cache:
 //!
-//! * **staleness purge** — inserting a filter for `(host, epoch)` drops
+//! * **staleness purge** — inserting a value for `(host, epoch)` drops
 //!   every entry of the same host with an older epoch (the registry
 //!   guarantees those versions can never be requested again);
-//! * **LRU cap** — beyond [`FilterCache::with_capacity`]'s limit the
-//!   least-recently-used entry goes, so a sweep over many distinct
-//!   constraints (negotiation levels, scheduler residual models) cannot
-//!   grow the cache without bound.
+//! * **LRU cap** — beyond [`EpochCache::with_capacity`]'s limit
+//!   ([`DEFAULT_CAPACITY`] filters and [`HIERARCHY_CAPACITY`]
+//!   hierarchies by default) the least-recently-used entry goes, so a
+//!   sweep over many distinct constraints (negotiation levels,
+//!   scheduler residual models) cannot grow the cache without bound.
 //!
-//! ## Epoch promotion
+//! ## Epoch repair
 //!
 //! An epoch bump normally means a guaranteed miss and a full rebuild —
-//! even when the mutation behind the bump touched host nodes the cached
-//! filter never references. [`FilterCache::try_promote`] closes that
-//! gap: given the would-be key for the *current* epoch, it finds the
-//! newest superseded entry with the same `(host, query, constraint)`
-//! identity and asks a caller-supplied verdict (typically: does
-//! [`ModelRegistry::dirty_between`](crate::registry::ModelRegistry::dirty_between)
-//! intersect the filter's
-//! [`touched_hosts`](netembed::FilterMatrix::touched_hosts)?) whether
-//! the old matrix is still exact. On a yes the slot is re-keyed in
-//! place — the next fetch is a plain hit, no build, no miss. The
-//! verdict runs *outside* the cache lock; the re-key re-checks that the
-//! candidate survived and that nobody filled the new key meanwhile.
+//! even when the mutation behind the bump touched nothing the cached
+//! value depends on. [`EpochCache::repair`] closes that gap: given the
+//! would-be key for the *current* epoch, it finds the newest
+//! superseded entry of the same lineage ([`EpochKey::same_lineage`]:
+//! same host and identity, older epoch) and asks a caller-supplied
+//! decide hook what the dirty window between the two epochs
+//! ([`ModelRegistry::dirty_between`](crate::registry::ModelRegistry::dirty_between))
+//! means for it. The hook runs *outside* the cache lock — it consults
+//! the registry (lock-ordering hazard) and may scan or patch a whole
+//! matrix (latency under a hot lock) — and answers with a
+//! [`PatchDecision`]:
 //!
-//! ## Epoch patching
+//! * **promote** — the window is provably empty, so the superseded
+//!   value is still exact: its slot is re-keyed in place and the next
+//!   fetch is a plain hit, no build, no miss. Promotion is thus repair
+//!   over an empty window. The re-key re-checks that the candidate
+//!   survived and that nobody filled the new key meanwhile;
+//! * **replace** — the window only removed candidates (attribute churn,
+//!   logical edge/node removals): the hook clones the superseded
+//!   matrix, repairs it with
+//!   [`FilterMatrix::patch`](netembed::FilterMatrix::patch) and hands
+//!   the clone back, and the cache memoizes it under the new key;
+//! * **rebuild** — the window can change the value in a way repair
+//!   cannot express: a filter's patch met a newly admissible candidate
+//!   (`patch` reports `NeedsRebuild`; the frozen arena cannot absorb an
+//!   addition), or a coarsening, which aggregates every node, saw any
+//!   dirty node at all. The caller falls through to the normal
+//!   miss/build path. Routing every non-empty filter window through
+//!   `patch`'s addition detection is what makes repair *sound* for
+//!   additive mutations: a touched-host intersection alone cannot see a
+//!   dirty node becoming newly admissible *outside* the cached
+//!   candidate set;
+//! * **skip** — the window cannot be classified (broken delta chain, no
+//!   registry history): nothing moves, and the caller falls through.
 //!
-//! Promotion only helps when the dirty window misses the filter
-//! entirely. [`FilterCache::try_patch`] covers the common middle
-//! ground — the window *does* touch cached candidates, but only to
-//! remove them (attribute churn, logical edge/node removals): the
-//! caller's decide hook clones the superseded matrix, repairs it with
-//! [`FilterMatrix::patch`](netembed::FilterMatrix::patch) **outside the
-//! cache lock**, and hands back [`PatchDecision::Replace`]; the cache
-//! memoizes the repaired clone under the new key (counted under
-//! [`FilterCache::patches`]) and the next fetch is a plain hit. A
-//! mutation that *adds* a feasible candidate cannot be spliced into the
-//! frozen arena — `patch` reports `NeedsRebuild`, the hook returns
-//! [`PatchDecision::Rebuild`] (counted under
-//! [`FilterCache::patch_rebuilds`]) and the caller falls through to the
-//! normal miss/build path. This is also what makes promotion *sound*
-//! for additive mutations: every non-empty dirty window re-evaluates
-//! through `patch`'s addition detection instead of trusting the
-//! touched-host intersection alone (which cannot see a dirty node
-//! becoming newly admissible *outside* the cached candidate set).
+//! `repair` returns what it did ([`Repaired`]), so a caller stamps its
+//! response's statistics from the return value; the lifetime counters
+//! ([`EpochCache::promotions`], [`EpochCache::patches`],
+//! [`EpochCache::patch_rebuilds`]) feed the service telemetry.
 //!
 //! ## Concurrent-miss deduplication
 //!
-//! Two threads missing on the same key at the same time used to both
-//! build (last insert wins — correct, but the second build is pure
-//! waste). [`FilterCache::fetch_or_build`] closes that hole with an
-//! **in-flight build table**: the first miss registers the key and gets
-//! a [`BuildTicket`] (it is the designated builder); any later miss on
-//! the same key finds the registration and *waits* on it instead of
-//! building, receiving the exact same `Arc` the winner produced
-//! ([`FilterFetch::Waited`]). A builder that fails — deadline-truncated
-//! build, problem error, panic — abandons its ticket (explicitly or on
-//! drop), which wakes the waiters so one of them can take over. Waiters
-//! pass their own remaining budget; a wait that outlives it returns
-//! [`FilterFetch::WaitExpired`] rather than blocking past the
-//! requester's deadline.
+//! Two threads missing on the same key at the same time would both
+//! build — pure waste for a filter, seconds of it for the coarsening of
+//! a 10⁵-node host. [`EpochCache::fetch_or_build`] closes that hole with
+//! an **in-flight build table**: the first miss registers the key and
+//! gets a [`BuildTicket`] (it is the designated builder); any later
+//! miss on the same key finds the registration and *waits* on it
+//! instead of building, receiving the exact same `Arc` the winner
+//! produced ([`Fetch::Waited`]). A builder that fails —
+//! deadline-truncated build, problem error, panic — abandons its ticket
+//! (explicitly or on drop), which wakes the waiters so one of them can
+//! take over. Waiters pass their own remaining budget; a wait that
+//! outlives it returns [`Fetch::WaitExpired`] rather than blocking past
+//! the requester's deadline. A build still in flight when its host is
+//! invalidated ([`EpochCache::invalidate_host`], on model removal) is
+//! *poisoned*: its waiters still receive the value, but nothing is
+//! memoized for the dead host.
 //!
 //! Two overload/cancellation refinements (see [`crate::admission`]):
 //! the number of threads blocked on one in-flight build is bounded by
-//! [`FilterCache::with_max_waiters`] — the excess gets
-//! [`FilterFetch::Overloaded`] instead of convoying behind a single
-//! build — and [`FilterCache::fetch_or_build_watch`] accepts a cancel
-//! probe so a planner dispatcher whose requester dropped its ticket
-//! stops waiting ([`FilterFetch::Cancelled`]) instead of blocking on a
-//! build whose result nobody will read.
+//! [`EpochCache::with_max_waiters`] — the excess gets
+//! [`Fetch::Overloaded`] instead of convoying behind a single build —
+//! and [`EpochCache::fetch_or_build_watch`] accepts a cancel probe so a
+//! planner dispatcher whose requester dropped its ticket stops waiting
+//! ([`Fetch::Cancelled`]) instead of blocking on a build whose result
+//! nobody will read.
 
 use crate::registry::ModelEpoch;
-use netembed::FilterMatrix;
+use netembed::{FilterMatrix, SearchStats, SubstrateHierarchy};
 use netgraph::Network;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -97,8 +117,43 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
-/// Default entry cap of [`FilterCache::new`].
+/// Default entry cap of a [`FilterCache`].
 pub const DEFAULT_CAPACITY: usize = 64;
+
+/// Default entry cap of a [`HierarchyCache`]. Hierarchies are
+/// per-model (not per-query), so a service rarely holds more than a
+/// handful of live ones.
+pub const HIERARCHY_CAPACITY: usize = 8;
+
+/// Memo of built `FilterMatrix`es, keyed by [`FilterKey`]. Shared by
+/// every [`PreparedQuery`](crate::PreparedQuery) and planner group of a
+/// service (one query's build serves later identical submits).
+pub type FilterCache = EpochCache<FilterKey, FilterMatrix>;
+
+/// Memo of coarsened substrates ([`SubstrateHierarchy`]), keyed by
+/// [`HierarchyKey`]: one coarsening serves every hierarchical query
+/// against that model snapshot, across the prepared, planner and direct
+/// submit paths alike.
+pub type HierarchyCache = EpochCache<HierarchyKey, SubstrateHierarchy>;
+
+/// The key of an [`EpochCache`]: one artifact of one host model
+/// version. `host` and `epoch` drive the staleness purge, invalidation
+/// and poisoning; the rest of the key is the artifact's *lineage*,
+/// which [`EpochCache::repair`] follows across epochs.
+pub trait EpochKey: Clone + Eq + Hash + std::fmt::Debug {
+    /// Entry cap of [`EpochCache::new`].
+    const CAPACITY: usize;
+
+    /// Registry model name (or a caller-chosen namespace).
+    fn host(&self) -> &str;
+
+    /// Model version the value was built against.
+    fn epoch(&self) -> ModelEpoch;
+
+    /// Whether `other` names the same artifact of the same host as
+    /// `self`, whatever the two epochs.
+    fn same_lineage(&self, other: &Self) -> bool;
+}
 
 /// Identity of one memoized filter build. Equality of keys must imply
 /// equality of the built filter: `host`+`epoch` pin one exact model
@@ -118,13 +173,63 @@ pub struct FilterKey {
     pub constraint: String,
 }
 
-struct Slot {
-    filter: Arc<FilterMatrix>,
+impl EpochKey for FilterKey {
+    const CAPACITY: usize = DEFAULT_CAPACITY;
+
+    fn host(&self) -> &str {
+        &self.host
+    }
+
+    fn epoch(&self) -> ModelEpoch {
+        self.epoch
+    }
+
+    fn same_lineage(&self, other: &Self) -> bool {
+        self.host == other.host
+            && self.query_hash == other.query_hash
+            && self.constraint == other.constraint
+    }
+}
+
+/// Identity of one memoized substrate coarsening: the hierarchy is a
+/// pure function of the host model bytes (pinned by `host` + `epoch` —
+/// registry epochs never repeat) and the coarsening knobs. Queries and
+/// constraints deliberately do **not** participate: one hierarchy
+/// serves every query against that model snapshot, which is the whole
+/// point of caching it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct HierarchyKey {
+    /// Registry model name.
+    pub host: String,
+    /// Model version the hierarchy was coarsened from.
+    pub epoch: ModelEpoch,
+    /// Coarsening knobs (different levels/floor → different hierarchy).
+    pub spec: netembed::HierarchySpec,
+}
+
+impl EpochKey for HierarchyKey {
+    const CAPACITY: usize = HIERARCHY_CAPACITY;
+
+    fn host(&self) -> &str {
+        &self.host
+    }
+
+    fn epoch(&self) -> ModelEpoch {
+        self.epoch
+    }
+
+    fn same_lineage(&self, other: &Self) -> bool {
+        self.host == other.host && self.spec == other.spec
+    }
+}
+
+struct Slot<V> {
+    value: Arc<V>,
     last_used: u64,
 }
 
-struct CacheState {
-    map: HashMap<FilterKey, Slot>,
+struct CacheState<K, V> {
+    map: HashMap<K, Slot<V>>,
     /// Logical clock for LRU ordering.
     tick: u64,
 }
@@ -133,33 +238,33 @@ struct CacheState {
 /// `Building` to `Done`/`Abandoned` and notifies; joiners wait on `cv`.
 /// Waiters hold their own `Arc` clone, so the winner can drop the table
 /// entry immediately — late wakeups still read the final state.
-struct InFlight {
-    state: StdMutex<BuildState>,
+struct InFlight<V> {
+    state: StdMutex<BuildState<V>>,
     cv: StdCondvar,
     /// Threads currently blocked on this build. Joined/left under the
     /// cache's `inflight` map lock on entry and atomically on every
     /// exit path (shared, expired, cancelled, abandoned-retry), so the
     /// waiter cap can never leak a slot.
     waiters: AtomicU64,
-    /// Set by [`FilterCache::invalidate_host`] while the build is still
+    /// Set by [`EpochCache::invalidate_host`] while the build is still
     /// in flight: the key's namespace died (model removed), so
     /// [`BuildTicket::complete`] must *not* memoize the result — doing
     /// so would resurrect an entry for the dead host after the
-    /// invalidation purge. Waiters still receive the built filter (the
+    /// invalidation purge. Waiters still receive the built value (the
     /// answer is correct for the epoch they asked about); it just is
     /// not cached.
     poisoned: AtomicBool,
 }
 
-enum BuildState {
+enum BuildState<V> {
     Building,
-    Done(Arc<FilterMatrix>),
+    Done(Arc<V>),
     /// The builder gave up (truncated build, error, panic): one waiter
     /// should retry and become the new builder.
     Abandoned,
 }
 
-impl InFlight {
+impl<V> InFlight<V> {
     fn new() -> Self {
         InFlight {
             state: StdMutex::new(BuildState::Building),
@@ -172,23 +277,23 @@ impl InFlight {
 
 /// RAII waiter-count slot: constructed under the inflight map lock,
 /// released on every exit path (including unwinds) so
-/// [`FilterCache::with_max_waiters`] accounting can never drift.
-struct WaiterSlot<'a>(&'a InFlight);
+/// [`EpochCache::with_max_waiters`] accounting can never drift.
+struct WaiterSlot<'a, V>(&'a InFlight<V>);
 
-impl Drop for WaiterSlot<'_> {
+impl<V> Drop for WaiterSlot<'_, V> {
     fn drop(&mut self) {
         self.0.waiters.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// What [`FilterCache::fetch_or_build`] resolved a key to.
-pub enum FilterFetch<'a> {
+/// What [`EpochCache::fetch_or_build`] resolved a key to.
+pub enum Fetch<'a, K: EpochKey, V> {
     /// Served from the memo (counted as a hit).
-    Hit(Arc<FilterMatrix>),
+    Hit(Arc<V>),
     /// Another thread was already building this key; this call blocked
     /// until that build completed and got the same `Arc` it memoized
     /// (counted as a dedup wait, not a miss).
-    Waited(Arc<FilterMatrix>),
+    Waited(Arc<V>),
     /// Another thread was building, but the caller's wait budget ran
     /// out first. The caller should report a timeout, exactly as if it
     /// had spent the budget building.
@@ -196,55 +301,55 @@ pub enum FilterFetch<'a> {
     /// Nobody has this key: the caller is the designated builder and
     /// must [`BuildTicket::complete`] (or abandon) the ticket (counted
     /// as a miss).
-    MustBuild(BuildTicket<'a>),
+    MustBuild(BuildTicket<'a, K, V>),
     /// The in-flight build for this key already has the maximum number
-    /// of waiters ([`FilterCache::with_max_waiters`]): the caller was
+    /// of waiters ([`EpochCache::with_max_waiters`]): the caller was
     /// shed instead of joining the convoy (counted under
-    /// [`FilterCache::dedup_shed`]).
+    /// [`EpochCache::dedup_shed`]).
     Overloaded,
     /// The caller's cancel probe fired while it waited on another
-    /// thread's build (only via [`FilterCache::fetch_or_build_watch`]):
+    /// thread's build (only via [`EpochCache::fetch_or_build_watch`]):
     /// the requester dropped its ticket, so the caller should stop
     /// working on its behalf. Nothing was built or counted.
     Cancelled,
 }
 
 /// The designated-builder token handed out by
-/// [`FilterCache::fetch_or_build`] on a true miss. Exactly one exists
-/// per in-flight key. [`BuildTicket::complete`] memoizes the filter and
+/// [`EpochCache::fetch_or_build`] on a true miss. Exactly one exists
+/// per in-flight key. [`BuildTicket::complete`] memoizes the value and
 /// hands it to every waiter; dropping the ticket without completing
 /// (build failure, deadline truncation, panic unwind) abandons the
 /// build, waking waiters so one can take over — waiters can therefore
 /// never deadlock on a builder that died.
-pub struct BuildTicket<'a> {
-    cache: &'a FilterCache,
-    key: FilterKey,
-    slot: Arc<InFlight>,
+pub struct BuildTicket<'a, K: EpochKey, V> {
+    cache: &'a EpochCache<K, V>,
+    key: K,
+    slot: Arc<InFlight<V>>,
     resolved: bool,
 }
 
-impl BuildTicket<'_> {
+impl<K: EpochKey, V> BuildTicket<'_, K, V> {
     /// Publish a finished build: memoize it under the ticket's key and
     /// wake every waiter with the same `Arc`. Callers must only
-    /// complete *complete* builds (see [`FilterCache::insert`]).
+    /// complete *complete* builds (see [`EpochCache::insert`]).
     ///
     /// The memo insert and the in-flight-table removal happen under one
     /// hold of the in-flight lock, and the insert is skipped when
-    /// [`FilterCache::invalidate_host`] poisoned this build meanwhile —
+    /// [`EpochCache::invalidate_host`] poisoned this build meanwhile —
     /// otherwise a builder racing a model removal would complete its
     /// register-then-reprobe insert *after* the invalidation purge and
     /// resurrect an entry for the dead host. Waiters are woken with the
-    /// filter either way.
-    pub fn complete(mut self, filter: Arc<FilterMatrix>) {
+    /// value either way.
+    pub fn complete(mut self, value: Arc<V>) {
         self.resolved = true;
         {
             let mut fl = self.cache.inflight.lock().unwrap();
             if !self.slot.poisoned.load(Ordering::Relaxed) {
-                self.cache.insert(self.key.clone(), filter.clone());
+                self.cache.insert(self.key.clone(), value.clone());
             }
             fl.remove(&self.key);
         }
-        *self.slot.state.lock().unwrap() = BuildState::Done(filter);
+        *self.slot.state.lock().unwrap() = BuildState::Done(value);
         self.slot.cv.notify_all();
     }
 
@@ -254,7 +359,7 @@ impl BuildTicket<'_> {
         self.resolve(BuildState::Abandoned);
     }
 
-    fn resolve(&mut self, state: BuildState) {
+    fn resolve(&mut self, state: BuildState<V>) {
         self.resolved = true;
         self.cache.inflight.lock().unwrap().remove(&self.key);
         *self.slot.state.lock().unwrap() = state;
@@ -262,7 +367,7 @@ impl BuildTicket<'_> {
     }
 }
 
-impl Drop for BuildTicket<'_> {
+impl<K: EpochKey, V> Drop for BuildTicket<'_, K, V> {
     fn drop(&mut self) {
         if !self.resolved {
             self.resolve(BuildState::Abandoned);
@@ -270,7 +375,7 @@ impl Drop for BuildTicket<'_> {
     }
 }
 
-impl std::fmt::Debug for BuildTicket<'_> {
+impl<K: EpochKey, V> std::fmt::Debug for BuildTicket<'_, K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BuildTicket")
             .field("key", &self.key)
@@ -278,16 +383,18 @@ impl std::fmt::Debug for BuildTicket<'_> {
     }
 }
 
-/// Thread-safe memo of built `FilterMatrix`es, keyed by [`FilterKey`].
-/// Shared by every [`PreparedQuery`](crate::PreparedQuery) of a service
-/// (one query's build serves later identical submits), with lifetime
-/// hit/miss/dedup-wait counters for observability.
-pub struct FilterCache {
-    state: Mutex<CacheState>,
+/// Thread-safe, epoch-keyed memo of shared per-model work (see the
+/// module docs): an LRU-capped map with a same-host staleness purge, an
+/// in-flight build table that deduplicates concurrent misses, and a
+/// single [`EpochCache::repair`] entry point that carries a superseded
+/// entry across an epoch bump. Lifetime hit/miss/dedup/repair counters
+/// feed observability.
+pub struct EpochCache<K, V> {
+    state: Mutex<CacheState<K, V>>,
     /// Keys currently being built (see the module docs on concurrent-miss
     /// deduplication). `std` primitives on purpose: joiners need a
     /// condvar, which the vendored `parking_lot` stand-in doesn't carry.
-    inflight: StdMutex<HashMap<FilterKey, Arc<InFlight>>>,
+    inflight: StdMutex<HashMap<K, Arc<InFlight<V>>>>,
     capacity: usize,
     /// Cap on threads blocked on one in-flight build (the admission
     /// policy's `max_dedup_waiters`); `usize::MAX` = unbounded.
@@ -301,36 +408,66 @@ pub struct FilterCache {
     patch_rebuilds: AtomicU64,
 }
 
-/// The caller's verdict for one [`FilterCache::try_patch`] window,
+/// The caller's verdict for one [`EpochCache::repair`] window,
 /// produced by the decide hook *outside* the cache lock (module docs,
-/// "Epoch patching").
-pub enum PatchDecision {
+/// "Epoch repair").
+pub enum PatchDecision<V> {
     /// The window cannot be classified (broken delta chain, no registry
     /// history): leave the cache untouched and fall through to the
     /// normal miss/build path. No counter moves.
     Skip,
     /// The composed dirty window is provably empty: the superseded
-    /// matrix is still exact — re-key it in place (a promotion).
+    /// value is still exact — re-key it in place (a promotion).
     Promote,
     /// The dirty window only removed candidates: memoize this repaired
-    /// clone under the new key (counted under [`FilterCache::patches`]).
-    Replace(Arc<FilterMatrix>),
-    /// The window added a feasible candidate
-    /// ([`PatchOutcome::NeedsRebuild`](netembed::PatchOutcome)): the
-    /// frozen arena cannot absorb it — fall through to a full rebuild
-    /// (counted under [`FilterCache::patch_rebuilds`]).
+    /// clone under the new key (counted under [`EpochCache::patches`]).
+    Replace(Arc<V>),
+    /// The window changed the value beyond what repair can express (a
+    /// filter patch met an addition,
+    /// [`PatchOutcome::NeedsRebuild`](netembed::PatchOutcome); a
+    /// coarsening saw any dirty node): fall through to a full rebuild
+    /// (counted under [`EpochCache::patch_rebuilds`]).
     Rebuild,
 }
 
-impl FilterCache {
-    /// A cache capped at [`DEFAULT_CAPACITY`] entries.
+/// What one [`EpochCache::repair`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Repaired {
+    /// The key was already memoized; the decide hook never ran.
+    Present,
+    /// Nothing was repaired and no counter moved: no superseded entry
+    /// of the key's lineage, an unclassifiable window
+    /// ([`PatchDecision::Skip`]), or a candidate evicted while the hook
+    /// ran. The caller's fetch misses and builds.
+    Nothing,
+    /// The superseded entry was re-keyed in place.
+    Promoted,
+    /// A repaired clone was memoized under the key.
+    Patched,
+    /// The window forced a full rebuild; the caller's fetch misses.
+    Rebuild,
+}
+
+impl Repaired {
+    /// Stamp this repair into the statistics of the response it is
+    /// credited to, so summing `patches` / `patch_rebuilds` over
+    /// responses reproduces the cache's counters.
+    pub(crate) fn credit(self, stats: &mut SearchStats) {
+        stats.patches += u64::from(self == Repaired::Patched);
+        stats.patch_rebuilds += u64::from(self == Repaired::Rebuild);
+    }
+}
+
+impl<K: EpochKey, V> EpochCache<K, V> {
+    /// A cache capped at the key type's default ([`DEFAULT_CAPACITY`]
+    /// filters, [`HIERARCHY_CAPACITY`] hierarchies).
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
+        Self::with_capacity(K::CAPACITY)
     }
 
-    /// A cache holding at most `capacity` filters (≥ 1).
+    /// A cache holding at most `capacity` values (≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        FilterCache {
+        EpochCache {
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
                 tick: 0,
@@ -349,7 +486,7 @@ impl FilterCache {
     }
 
     /// Bound the threads allowed to block on one in-flight build; the
-    /// excess resolves as [`FilterFetch::Overloaded`]. Clamped to ≥ 1
+    /// excess resolves as [`Fetch::Overloaded`]. Clamped to ≥ 1
     /// (zero would shed every joiner, turning dedup off entirely —
     /// use a higher bound, or accept the rebuilds explicitly).
     pub fn with_max_waiters(mut self, max: usize) -> Self {
@@ -357,40 +494,31 @@ impl FilterCache {
         self
     }
 
-    /// The memoized filter for `key`, refreshing its LRU position.
-    pub fn lookup(&self, key: &FilterKey) -> Option<Arc<FilterMatrix>> {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        match st.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.filter.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// The memoized value for `key`, refreshing its LRU position.
+    pub fn lookup(&self, key: &K) -> Option<Arc<V>> {
+        let hit = self.peek_hit(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        hit
     }
 
-    /// [`FilterCache::lookup`] that only counts (and refreshes) hits —
+    /// [`EpochCache::lookup`] that only counts (and refreshes) hits —
     /// a `None` here is not yet a miss, because `fetch_or_build` may
     /// still resolve it as a dedup wait.
-    fn peek_hit(&self, key: &FilterKey) -> Option<Arc<FilterMatrix>> {
+    fn peek_hit(&self, key: &K) -> Option<Arc<V>> {
         let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
         st.map.get_mut(key).map(|slot| {
             slot.last_used = tick;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            slot.filter.clone()
+            slot.value.clone()
         })
     }
 
     /// Resolve `key` with concurrent-miss deduplication (module docs):
-    /// memo hit → [`FilterFetch::Hit`]; someone else already building →
+    /// memo hit → [`Fetch::Hit`]; someone else already building →
     /// block (up to `wait_budget`; `None` waits indefinitely) and share
     /// their result; true miss → the caller becomes the designated
     /// builder and receives a [`BuildTicket`].
@@ -403,34 +531,30 @@ impl FilterCache {
     /// of rebuilding. A second `MustBuild` for the same `(key, model)`
     /// can only follow an *abandoned* (truncated/failed) build, or an
     /// LRU eviction of the entry itself.
-    pub fn fetch_or_build(
-        &self,
-        key: &FilterKey,
-        wait_budget: Option<Duration>,
-    ) -> FilterFetch<'_> {
+    pub fn fetch_or_build(&self, key: &K, wait_budget: Option<Duration>) -> Fetch<'_, K, V> {
         self.fetch_or_build_watch(key, wait_budget, None)
     }
 
-    /// [`FilterCache::fetch_or_build`] with a cancel probe: while the
+    /// [`EpochCache::fetch_or_build`] with a cancel probe: while the
     /// caller is blocked on another thread's build, the probe is polled
     /// (a few times per millisecond); the moment it returns `true` the
-    /// call resolves as [`FilterFetch::Cancelled`] and the waiter slot
+    /// call resolves as [`Fetch::Cancelled`] and the waiter slot
     /// frees. The planner's dispatcher passes a probe that checks
     /// whether the member it is working for dropped its ticket — so
     /// cancellation propagates *into* dedup wait chains instead of the
     /// dispatcher blocking on a build whose result nobody will read.
     pub fn fetch_or_build_watch(
         &self,
-        key: &FilterKey,
+        key: &K,
         wait_budget: Option<Duration>,
         cancel: Option<&dyn Fn() -> bool>,
-    ) -> FilterFetch<'_> {
+    ) -> Fetch<'_, K, V> {
         /// Poll granularity for the cancel probe while blocked.
         const CANCEL_POLL: Duration = Duration::from_millis(1);
         let wait_deadline = wait_budget.map(|b| Instant::now() + b);
         loop {
-            if let Some(filter) = self.peek_hit(key) {
-                return FilterFetch::Hit(filter);
+            if let Some(value) = self.peek_hit(key) {
+                return Fetch::Hit(value);
             }
             // `Ok` = someone is already building (join them — the
             // waiter slot is claimed under the map lock, so the cap is
@@ -442,7 +566,7 @@ impl FilterCache {
                     Some(slot) => {
                         if slot.waiters.load(Ordering::Relaxed) >= self.max_waiters as u64 {
                             self.dedup_shed.fetch_add(1, Ordering::Relaxed);
-                            return FilterFetch::Overloaded;
+                            return Fetch::Overloaded;
                         }
                         slot.waiters.fetch_add(1, Ordering::Relaxed);
                         Ok(slot.clone())
@@ -469,12 +593,12 @@ impl FilterCache {
                     // never be repeated. (Dropping the fresh ticket
                     // releases the key; anyone who joined it in the
                     // meantime retries and takes the hit too.)
-                    if let Some(filter) = self.peek_hit(key) {
+                    if let Some(value) = self.peek_hit(key) {
                         drop(ticket);
-                        return FilterFetch::Hit(filter);
+                        return Fetch::Hit(value);
                     }
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    return FilterFetch::MustBuild(ticket);
+                    return Fetch::MustBuild(ticket);
                 }
                 Ok(slot) => slot,
             };
@@ -485,15 +609,15 @@ impl FilterCache {
             let mut st = slot.state.lock().unwrap();
             loop {
                 match &*st {
-                    BuildState::Done(filter) => {
+                    BuildState::Done(value) => {
                         self.dedup_waits.fetch_add(1, Ordering::Relaxed);
-                        return FilterFetch::Waited(filter.clone());
+                        return Fetch::Waited(value.clone());
                     }
                     BuildState::Abandoned => break, // retry from the top
                     BuildState::Building => {}
                 }
                 if cancel.is_some_and(|c| c()) {
-                    return FilterFetch::Cancelled;
+                    return Fetch::Cancelled;
                 }
                 // With a cancel probe the wait is sliced so the probe
                 // keeps getting polled; a pure deadline wait blocks for
@@ -503,7 +627,7 @@ impl FilterCache {
                     Some(d) => {
                         let now = Instant::now();
                         if now >= d {
-                            return FilterFetch::WaitExpired;
+                            return Fetch::WaitExpired;
                         }
                         let left = d - now;
                         Some(if cancel.is_some() {
@@ -523,21 +647,20 @@ impl FilterCache {
         }
     }
 
-    /// Memoize `filter` under `key`. Purges permanently-stale entries
+    /// Memoize `value` under `key`. Purges permanently-stale entries
     /// (same host, older epoch) and LRU-evicts past the capacity cap.
-    /// Callers must only insert *complete* builds — a truncated filter
-    /// is a function of the deadline, not the key.
-    pub fn insert(&self, key: FilterKey, filter: Arc<FilterMatrix>) {
-        debug_assert!(!filter.truncated(), "caching a truncated filter");
+    /// Callers must only insert *complete* builds — a deadline-truncated
+    /// filter is a function of the deadline, not the key.
+    pub fn insert(&self, key: K, value: Arc<V>) {
         let mut st = self.state.lock();
         st.map
-            .retain(|k, _| k.host != key.host || k.epoch >= key.epoch);
+            .retain(|k, _| k.host() != key.host() || k.epoch() >= key.epoch());
         st.tick += 1;
         let tick = st.tick;
         st.map.insert(
             key,
             Slot {
-                filter,
+                value,
                 last_used: tick,
             },
         );
@@ -552,129 +675,78 @@ impl FilterCache {
         }
     }
 
-    /// Re-key a superseded entry to `key` when `verdict` certifies the
-    /// old matrix is still exact (module docs, "Epoch promotion").
-    ///
-    /// The candidate is the *newest* memoized entry sharing `key`'s
-    /// host, query fingerprint and constraint with an older epoch.
-    /// `verdict(old_epoch, filter)` decides outside the cache lock —
-    /// callers typically check that the registry's accumulated dirty
-    /// set between the epochs misses the filter's touched host nodes.
-    /// Returns `true` when `key` is memoized afterwards (promotion
-    /// landed, or a concurrent build already filled it); the next
-    /// lookup is then a hit. No counter moves on `false` — the caller
-    /// falls through to the normal miss/build path.
-    pub fn try_promote(
+    /// Carry a superseded entry across an epoch bump to `key` (module
+    /// docs, "Epoch repair"). The candidate is the *newest* memoized
+    /// entry of `key`'s lineage with an older epoch; an already-memoized
+    /// `key` short-circuits as [`Repaired::Present`] without deciding.
+    /// `decide(old_epoch, value)` classifies the dirty window *outside*
+    /// the cache lock — typically by consulting the registry's composed
+    /// dirty set and, for a filter, cloning the matrix and running
+    /// [`FilterMatrix::patch`](netembed::FilterMatrix::patch) against
+    /// the new-epoch model. The return value says what happened; on
+    /// anything but `Present`, `Promoted` or `Patched` the caller's
+    /// fetch misses and builds.
+    pub fn repair(
         &self,
-        key: &FilterKey,
-        verdict: impl FnOnce(ModelEpoch, &FilterMatrix) -> bool,
-    ) -> bool {
+        key: &K,
+        decide: impl FnOnce(ModelEpoch, &V) -> PatchDecision<V>,
+    ) -> Repaired {
         let candidate = {
             let st = self.state.lock();
             if st.map.contains_key(key) {
-                return true;
+                return Repaired::Present;
             }
             st.map
                 .iter()
-                .filter(|(k, _)| {
-                    k.host == key.host
-                        && k.query_hash == key.query_hash
-                        && k.constraint == key.constraint
-                        && k.epoch < key.epoch
-                })
-                .max_by_key(|(k, _)| k.epoch)
-                .map(|(k, slot)| (k.clone(), slot.filter.clone()))
+                .filter(|(k, _)| k.same_lineage(key) && k.epoch() < key.epoch())
+                .max_by_key(|(k, _)| k.epoch())
+                .map(|(k, slot)| (k.clone(), slot.value.clone()))
         };
-        let Some((old_key, filter)) = candidate else {
-            return false;
+        let Some((old_key, value)) = candidate else {
+            return Repaired::Nothing;
         };
-        // The verdict may consult the registry (lock-ordering hazard if
-        // held under the cache lock) and scan bitsets (latency under a
-        // hot lock) — run it on the clones.
-        if !verdict(old_key.epoch, &filter) {
-            return false;
+        match decide(old_key.epoch(), &value) {
+            PatchDecision::Skip => Repaired::Nothing,
+            PatchDecision::Promote => self.rekey(&old_key, key),
+            PatchDecision::Replace(patched) => {
+                // `insert`'s same-host staleness purge drops the
+                // superseded candidate in the same lock hold.
+                self.insert(key.clone(), patched);
+                self.patches.fetch_add(1, Ordering::Relaxed);
+                Repaired::Patched
+            }
+            PatchDecision::Rebuild => {
+                self.patch_rebuilds.fetch_add(1, Ordering::Relaxed);
+                Repaired::Rebuild
+            }
         }
-        self.rekey(&old_key, key)
     }
 
-    /// Re-key `old_key`'s slot to `key`, re-checking (under the lock)
-    /// that the candidate survived and that nobody filled `key`
-    /// meanwhile. Shared tail of [`FilterCache::try_promote`] and the
-    /// promote arm of [`FilterCache::try_patch`].
-    fn rekey(&self, old_key: &FilterKey, key: &FilterKey) -> bool {
+    /// Re-key `old_key`'s slot to `key` (the promote arm of
+    /// [`EpochCache::repair`]), re-checking under the lock that the
+    /// candidate survived and that nobody filled `key` meanwhile.
+    fn rekey(&self, old_key: &K, key: &K) -> Repaired {
         let mut st = self.state.lock();
         if st.map.contains_key(key) {
             // A concurrent builder landed the fresh epoch first; its
             // `insert` purged the candidate. The goal state holds.
-            return true;
+            return Repaired::Present;
         }
         let Some(slot) = st.map.remove(old_key) else {
-            // Evicted while the verdict ran; nothing left to promote.
-            return false;
+            // Evicted while the hook ran; nothing left to promote.
+            return Repaired::Nothing;
         };
         st.tick += 1;
         let tick = st.tick;
         st.map.insert(
             key.clone(),
             Slot {
-                filter: slot.filter,
+                value: slot.value,
                 last_used: tick,
             },
         );
         self.promotions.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Repair-or-promote a superseded entry to `key` (module docs,
-    /// "Epoch patching"). The candidate is selected exactly as in
-    /// [`FilterCache::try_promote`] (newest same-identity entry with an
-    /// older epoch; an already-memoized `key` short-circuits `true`);
-    /// `decide(old_epoch, filter)` then classifies the dirty window
-    /// *outside* the cache lock — typically by cloning the matrix and
-    /// running [`FilterMatrix::patch`](netembed::FilterMatrix::patch)
-    /// against the new-epoch model. Returns `true` when `key` is
-    /// memoized afterwards; on `false` the caller falls through to the
-    /// normal miss/build path.
-    pub fn try_patch(
-        &self,
-        key: &FilterKey,
-        decide: impl FnOnce(ModelEpoch, &FilterMatrix) -> PatchDecision,
-    ) -> bool {
-        let candidate = {
-            let st = self.state.lock();
-            if st.map.contains_key(key) {
-                return true;
-            }
-            st.map
-                .iter()
-                .filter(|(k, _)| {
-                    k.host == key.host
-                        && k.query_hash == key.query_hash
-                        && k.constraint == key.constraint
-                        && k.epoch < key.epoch
-                })
-                .max_by_key(|(k, _)| k.epoch)
-                .map(|(k, slot)| (k.clone(), slot.filter.clone()))
-        };
-        let Some((old_key, filter)) = candidate else {
-            return false;
-        };
-        match decide(old_key.epoch, &filter) {
-            PatchDecision::Skip => false,
-            PatchDecision::Promote => self.rekey(&old_key, key),
-            PatchDecision::Replace(patched) => {
-                debug_assert!(!patched.truncated(), "caching a truncated patch");
-                // `insert`'s same-host staleness purge drops the
-                // superseded candidate in the same lock hold.
-                self.insert(key.clone(), patched);
-                self.patches.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            PatchDecision::Rebuild => {
-                self.patch_rebuilds.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        Repaired::Promoted
     }
 
     /// Drop every entry for `host` (any epoch) — eager invalidation for
@@ -690,11 +762,11 @@ impl FilterCache {
     pub fn invalidate_host(&self, host: &str) {
         let fl = self.inflight.lock().unwrap();
         for (k, slot) in fl.iter() {
-            if k.host == host {
+            if k.host() == host {
                 slot.poisoned.store(true, Ordering::Relaxed);
             }
         }
-        self.state.lock().map.retain(|k, _| k.host != host);
+        self.state.lock().map.retain(|k, _| k.host() != host);
         drop(fl);
     }
 
@@ -715,7 +787,7 @@ impl FilterCache {
 
     /// Lifetime lookup misses. A concurrent miss that waited on the
     /// winner's in-flight build counts under
-    /// [`FilterCache::dedup_waits`] instead — only designated builders
+    /// [`EpochCache::dedup_waits`] instead — only designated builders
     /// count here.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
@@ -723,36 +795,35 @@ impl FilterCache {
 
     /// Lifetime count of lookups that blocked on another thread's
     /// in-flight build of the same key instead of building their own
-    /// copy (each one is a filter build the dedup table saved).
+    /// copy (each one is a build the dedup table saved).
     pub fn dedup_waits(&self) -> u64 {
         self.dedup_waits.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of lookups shed because an in-flight build's
-    /// waiter cap ([`FilterCache::with_max_waiters`]) was already
+    /// waiter cap ([`EpochCache::with_max_waiters`]) was already
     /// reached.
     pub fn dedup_shed(&self) -> u64 {
         self.dedup_shed.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of superseded entries re-keyed to a newer epoch
-    /// by [`FilterCache::try_promote`] — each one is a full filter
-    /// rebuild the dirty-set bookkeeping saved.
+    /// across an empty dirty window by [`EpochCache::repair`] — each
+    /// one is a full rebuild the dirty-set bookkeeping saved.
     pub fn promotions(&self) -> u64 {
         self.promotions.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of superseded entries repaired in place by
-    /// [`FilterCache::try_patch`]'s `Replace` arm — each one turned a
-    /// full O(|EQ|·|ER|) rebuild into a dirty-window re-scan.
+    /// [`EpochCache::repair`]'s replace arm — each one turned a full
+    /// O(|EQ|·|ER|) filter rebuild into a dirty-window re-scan.
     pub fn patches(&self) -> u64 {
         self.patches.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of patch attempts that fell back to a full
-    /// rebuild because the dirty window *added* a feasible candidate
-    /// ([`PatchDecision::Rebuild`]) — the soundness valve that keeps
-    /// additive mutations from being served a stale filter.
+    /// Lifetime count of repairs that fell back to a full rebuild
+    /// ([`PatchDecision::Rebuild`]): for filters, the soundness valve
+    /// that keeps additive mutations from being served a stale matrix.
     pub fn patch_rebuilds(&self) -> u64 {
         self.patch_rebuilds.load(Ordering::Relaxed)
     }
@@ -763,252 +834,15 @@ impl FilterCache {
     }
 }
 
-impl Default for FilterCache {
+impl<K: EpochKey, V> Default for EpochCache<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// Identity of one memoized substrate coarsening: the hierarchy is a
-/// pure function of the host model bytes (pinned by `host` + `epoch` —
-/// registry epochs never repeat) and the coarsening knobs. Queries and
-/// constraints deliberately do **not** participate: one hierarchy
-/// serves every query against that model snapshot, which is the whole
-/// point of caching it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct HierarchyKey {
-    /// Registry model name.
-    pub host: String,
-    /// Model version the hierarchy was coarsened from.
-    pub epoch: ModelEpoch,
-    /// Coarsening knobs (different levels/floor → different hierarchy).
-    pub spec: netembed::HierarchySpec,
-}
-
-struct HierarchySlot {
-    hierarchy: Arc<netembed::SubstrateHierarchy>,
-    last_used: u64,
-}
-
-struct HierarchyState {
-    map: HashMap<HierarchyKey, HierarchySlot>,
-    tick: u64,
-}
-
-/// Default entry cap of [`HierarchyCache::new`]. Hierarchies are
-/// per-model (not per-query), so a service rarely holds more than a
-/// handful of live ones.
-pub const HIERARCHY_CAPACITY: usize = 8;
-
-/// Thread-safe memo of coarsened substrates
-/// ([`SubstrateHierarchy`](netembed::SubstrateHierarchy)), keyed by
-/// [`HierarchyKey`]. Shares the [`FilterCache`] eviction story —
-/// inserting a `(host, epoch)` purges the same host's older epochs
-/// (the registry guarantees they can never be requested again), and an
-/// LRU cap bounds the total.
-///
-/// Unlike the filter cache there is no in-flight dedup table: a
-/// hierarchy build is read-only over the host and deterministic, so
-/// two threads racing on a cold key both build and the second insert
-/// harmlessly replaces the first with an identical structure. The
-/// filter cache needed dedup because misses are per-(query,
-/// constraint) and bursty; hierarchy misses happen once per model
-/// epoch.
-pub struct HierarchyCache {
-    state: Mutex<HierarchyState>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    promotions: AtomicU64,
-}
-
-impl HierarchyCache {
-    /// A cache capped at [`HIERARCHY_CAPACITY`] entries.
-    pub fn new() -> Self {
-        Self::with_capacity(HIERARCHY_CAPACITY)
-    }
-
-    /// A cache holding at most `capacity` hierarchies (≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        HierarchyCache {
-            state: Mutex::new(HierarchyState {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-        }
-    }
-
-    /// The memoized hierarchy for `key`, refreshing its LRU position.
-    pub fn lookup(&self, key: &HierarchyKey) -> Option<Arc<netembed::SubstrateHierarchy>> {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        match st.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.hierarchy.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Resolve `key`, building (outside the lock) on a miss. The bool
-    /// is `true` on a hit. Concurrent cold misses may both run `build`;
-    /// see the type docs for why that race is benign.
-    pub fn fetch_or_build(
-        &self,
-        key: &HierarchyKey,
-        build: impl FnOnce() -> netembed::SubstrateHierarchy,
-    ) -> (Arc<netembed::SubstrateHierarchy>, bool) {
-        if let Some(h) = self.lookup(key) {
-            return (h, true);
-        }
-        let built = Arc::new(build());
-        self.insert(key.clone(), built.clone());
-        (built, false)
-    }
-
-    /// Memoize `hierarchy` under `key`. Purges permanently-stale
-    /// entries (same host, older epoch) and LRU-evicts past the cap.
-    pub fn insert(&self, key: HierarchyKey, hierarchy: Arc<netembed::SubstrateHierarchy>) {
-        let mut st = self.state.lock();
-        st.map
-            .retain(|k, _| k.host != key.host || k.epoch >= key.epoch);
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key,
-            HierarchySlot {
-                hierarchy,
-                last_used: tick,
-            },
-        );
-        while st.map.len() > self.capacity {
-            let oldest = st
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over-capacity map");
-            st.map.remove(&oldest);
-        }
-    }
-
-    /// Re-key a superseded hierarchy to `key` when `verdict(old_epoch)`
-    /// certifies nothing changed between the epochs — mirroring
-    /// [`FilterCache::try_promote`]. The candidate is the newest
-    /// memoized entry sharing `key`'s host and coarsening spec with an
-    /// older epoch; the typical verdict checks that the registry's
-    /// composed dirty window between the epochs is `Some` *and empty*
-    /// (a hierarchy aggregates every node, so any non-empty window can
-    /// change the coarsening). Returns `true` when `key` is memoized
-    /// afterwards — the next fetch is a hit, no re-coarsening.
-    pub fn try_promote(
-        &self,
-        key: &HierarchyKey,
-        verdict: impl FnOnce(crate::registry::ModelEpoch) -> bool,
-    ) -> bool {
-        let candidate = {
-            let st = self.state.lock();
-            if st.map.contains_key(key) {
-                return true;
-            }
-            st.map
-                .iter()
-                .filter(|(k, _)| k.host == key.host && k.spec == key.spec && k.epoch < key.epoch)
-                .max_by_key(|(k, _)| k.epoch)
-                .map(|(k, _)| k.clone())
-        };
-        let Some(old_key) = candidate else {
-            return false;
-        };
-        // The verdict consults the registry — run it outside the lock.
-        if !verdict(old_key.epoch) {
-            return false;
-        }
-        let mut st = self.state.lock();
-        if st.map.contains_key(key) {
-            return true;
-        }
-        let Some(slot) = st.map.remove(&old_key) else {
-            return false;
-        };
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key.clone(),
-            HierarchySlot {
-                hierarchy: slot.hierarchy,
-                last_used: tick,
-            },
-        );
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Drop every hierarchy for `host` (any epoch) — eager invalidation
-    /// for removed models, mirroring [`FilterCache::invalidate_host`].
-    pub fn invalidate_host(&self, host: &str) {
-        self.state.lock().map.retain(|k, _| k.host != host);
-    }
-
-    /// Entries currently memoized.
-    pub fn len(&self) -> usize {
-        self.state.lock().map.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime lookup misses (each one coarsened the substrate).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of superseded hierarchies re-keyed to a newer
-    /// epoch by [`HierarchyCache::try_promote`] — each one is a full
-    /// substrate re-coarsening the empty-window check saved.
-    pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for HierarchyCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for HierarchyCache {
+impl<K: EpochKey, V> std::fmt::Debug for EpochCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HierarchyCache")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("promotions", &self.promotions())
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for FilterCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterCache")
+        f.debug_struct("EpochCache")
             .field("len", &self.len())
             .field("capacity", &self.capacity)
             .field("hits", &self.hits())
@@ -1124,7 +958,7 @@ pub fn network_fingerprint(net: &Network) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netembed::{Deadline, Problem, SearchStats};
+    use netembed::{Deadline, HierarchySpec, Problem, SearchStats};
     use netgraph::Direction;
 
     fn path_host(n: usize) -> Network {
@@ -1154,6 +988,24 @@ mod tests {
             epoch: ModelEpoch(epoch),
             query_hash: 7,
             constraint: constraint.to_string(),
+        }
+    }
+
+    fn hkey(host: &str, epoch: u64) -> HierarchyKey {
+        HierarchyKey {
+            host: host.to_string(),
+            epoch: ModelEpoch(epoch),
+            spec: HierarchySpec::default(),
+        }
+    }
+
+    /// Block until `n` threads wait on `ticket`'s in-flight build: the
+    /// explicit synchronization that makes a two-thread test's next
+    /// step (complete, shed probe, cancel) see the joiners registered,
+    /// whatever the scheduler does.
+    fn await_waiters<K: EpochKey, V>(ticket: &BuildTicket<'_, K, V>, n: u64) {
+        while ticket.slot.waiters.load(Ordering::Relaxed) < n {
+            std::thread::yield_now();
         }
     }
 
@@ -1222,109 +1074,37 @@ mod tests {
     }
 
     #[test]
-    fn promotion_rekeys_the_superseded_entry_in_place() {
-        let cache = FilterCache::new();
-        let host = path_host(4);
-        let f = build(&host);
-        cache.insert(key("h", 1, "a"), f.clone());
-        cache.insert(key("h", 1, "b"), f.clone());
-        let mut seen = None;
-        assert!(cache.try_promote(&key("h", 3, "a"), |old, _| {
-            seen = Some(old);
-            true
-        }));
-        assert_eq!(seen, Some(ModelEpoch(1)));
-        assert_eq!(cache.promotions(), 1);
-        let misses_before = cache.misses();
-        assert!(cache.lookup(&key("h", 3, "a")).is_some(), "promoted");
-        assert_eq!(cache.misses(), misses_before, "promotion → hit, no miss");
-        assert!(
-            cache.lookup(&key("h", 1, "a")).is_none(),
-            "old key re-keyed"
-        );
-        assert!(
-            cache.lookup(&key("h", 1, "b")).is_some(),
-            "sibling constraints stay resident as future candidates"
-        );
-        // Promotions chain: the next bump promotes the epoch-3 slot.
-        assert!(cache.try_promote(&key("h", 5, "a"), |old, _| {
-            assert_eq!(old, ModelEpoch(3), "newest superseded epoch wins");
-            true
-        }));
-        assert_eq!(cache.promotions(), 2);
-    }
-
-    #[test]
-    fn promotion_respects_the_verdict_and_the_key_identity() {
-        let cache = FilterCache::new();
-        let host = path_host(4);
-        let f = build(&host);
-        cache.insert(key("h", 1, "a"), f.clone());
-        assert!(
-            !cache.try_promote(&key("h", 5, "a"), |_, _| false),
-            "a refusing verdict must not promote"
-        );
-        assert!(
-            !cache.try_promote(&key("h", 5, "b"), |_, _| true),
-            "different constraint is a different filter"
-        );
-        assert!(
-            !cache.try_promote(&key("g", 5, "a"), |_, _| true),
-            "different host is a different namespace"
-        );
-        assert!(
-            !cache.try_promote(&key("h", 0, "a"), |_, _| true),
-            "an older target epoch has no superseded candidate"
-        );
-        assert_eq!(cache.promotions(), 0);
-        assert!(cache.lookup(&key("h", 1, "a")).is_some(), "entry untouched");
-    }
-
-    #[test]
-    fn promotion_short_circuits_when_the_key_is_already_memoized() {
-        let cache = FilterCache::new();
-        let host = path_host(4);
-        let f = build(&host);
-        cache.insert(key("h", 5, "a"), f.clone());
-        assert!(
-            cache.try_promote(&key("h", 5, "a"), |_, _| panic!(
-                "verdict must not run when the key is already present"
-            )),
-            "an already-memoized key reports success"
-        );
-        assert_eq!(cache.promotions(), 0, "nothing was re-keyed");
-    }
-
-    #[test]
     fn concurrent_misses_build_once_and_share_the_arc() {
-        // The ISSUE's two-thread contract: the first miss becomes the
+        // The two-thread contract: the first miss becomes the
         // designated builder (the only `miss`); the second blocks on the
         // in-flight table and receives the *same* `Arc`, counted as a
-        // dedup wait, not a miss. Deterministic: the cache is empty and
-        // the key is registered in-flight before the second thread
-        // starts, so it can only ever resolve as `Waited`.
+        // dedup wait, not a miss. Deterministic: the key is registered
+        // in-flight before the second thread starts, and the build
+        // completes only once that thread holds its waiter slot, so it
+        // can only ever resolve as `Waited`.
         let cache = FilterCache::new();
         let host = path_host(4);
         let k = key("h", 1, "true");
-        let FilterFetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
             panic!("empty cache must hand out a build ticket");
         };
         assert_eq!(cache.in_flight(), 1);
         let waited = std::thread::scope(|s| {
             let waiter = s.spawn(|| match cache.fetch_or_build(&k, None) {
-                FilterFetch::Waited(f) => f,
+                Fetch::Waited(f) => f,
                 other => panic!(
                     "second miss must wait on the in-flight build, got {}",
                     match other {
-                        FilterFetch::Hit(_) => "Hit",
-                        FilterFetch::WaitExpired => "WaitExpired",
-                        FilterFetch::MustBuild(_) => "MustBuild",
-                        FilterFetch::Overloaded => "Overloaded",
-                        FilterFetch::Cancelled => "Cancelled",
-                        FilterFetch::Waited(_) => unreachable!(),
+                        Fetch::Hit(_) => "Hit",
+                        Fetch::WaitExpired => "WaitExpired",
+                        Fetch::MustBuild(_) => "MustBuild",
+                        Fetch::Overloaded => "Overloaded",
+                        Fetch::Cancelled => "Cancelled",
+                        Fetch::Waited(_) => unreachable!(),
                     }
                 ),
             });
+            await_waiters(&ticket, 1);
             let built = build(&host);
             ticket.complete(built.clone());
             let waited = waiter.join().unwrap();
@@ -1340,20 +1120,47 @@ mod tests {
     }
 
     #[test]
+    fn hierarchy_waiter_shares_the_builders_arc() {
+        // Concurrent cold coarsenings build once: the second miss waits
+        // on the first one's in-flight build and receives its `Arc`.
+        let cache = HierarchyCache::new();
+        let host = path_host(8);
+        let k = hkey("h", 1);
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+            panic!("empty cache must hand out a build ticket");
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| match cache.fetch_or_build(&k, None) {
+                Fetch::Waited(h) => h,
+                _ => panic!("second miss must wait on the in-flight coarsening"),
+            });
+            await_waiters(&ticket, 1);
+            let built = Arc::new(SubstrateHierarchy::build(&host, &k.spec));
+            ticket.complete(built.clone());
+            let waited = waiter.join().unwrap();
+            assert!(Arc::ptr_eq(&built, &waited), "waiter got a different Arc");
+        });
+        assert_eq!(cache.misses(), 1, "one coarsening for both misses");
+        assert_eq!(cache.dedup_waits(), 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn abandoned_build_hands_the_key_to_a_waiter() {
         let cache = FilterCache::new();
         let host = path_host(4);
         let k = key("h", 1, "true");
-        let FilterFetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
             panic!("first fetch must build");
         };
         std::thread::scope(|s| {
             let waiter = s.spawn(|| match cache.fetch_or_build(&k, None) {
                 // The abandoned slot makes the waiter retry; with the
                 // key free again it becomes the new designated builder.
-                FilterFetch::MustBuild(t) => t.complete(build(&host)),
+                Fetch::MustBuild(t) => t.complete(build(&host)),
                 _ => panic!("waiter must take over after an abandon"),
             });
+            await_waiters(&ticket, 1);
             // Simulates a deadline-truncated or failed build.
             ticket.abandon();
             waiter.join().unwrap();
@@ -1369,32 +1176,31 @@ mod tests {
         // leave waiters stuck: Drop abandons.
         let cache = FilterCache::new();
         let k = key("h", 1, "true");
-        let FilterFetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
             panic!("first fetch must build");
         };
         assert_eq!(cache.in_flight(), 1);
         drop(ticket);
         assert_eq!(cache.in_flight(), 0);
         assert!(
-            matches!(cache.fetch_or_build(&k, None), FilterFetch::MustBuild(_)),
+            matches!(cache.fetch_or_build(&k, None), Fetch::MustBuild(_)),
             "the key must be buildable again"
         );
     }
 
     #[test]
     fn wait_budget_bounds_the_block() {
-        use std::time::Duration;
         let cache = FilterCache::new();
         let k = key("h", 1, "true");
-        let FilterFetch::MustBuild(_ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(_ticket) = cache.fetch_or_build(&k, None) else {
             panic!("first fetch must build");
         };
         // The builder never completes within the waiter's budget: the
         // waiter gets its deadline back instead of blocking forever.
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         assert!(matches!(
             cache.fetch_or_build(&k, Some(Duration::from_millis(20))),
-            FilterFetch::WaitExpired
+            Fetch::WaitExpired
         ));
         assert!(start.elapsed() >= Duration::from_millis(20));
         assert_eq!(cache.dedup_waits(), 0, "an expired wait saved nothing");
@@ -1410,22 +1216,18 @@ mod tests {
         let cache = FilterCache::new().with_max_waiters(1);
         let host = path_host(4);
         let k = key("h", 1, "true");
-        let FilterFetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
             panic!("empty cache must hand out a build ticket");
         };
         let outcomes = AtomicUsize::new(0);
         std::thread::scope(|s| {
             let waiter = s.spawn(|| match cache.fetch_or_build(&k, None) {
-                FilterFetch::Waited(_) => outcomes.fetch_add(1, Ordering::Relaxed),
+                Fetch::Waited(_) => outcomes.fetch_add(1, Ordering::Relaxed),
                 _ => panic!("first joiner fits under the cap"),
             });
-            // Spin until the joiner holds its waiter slot, so the shed
-            // check below is deterministic.
-            while ticket.slot.waiters.load(Ordering::Relaxed) == 0 {
-                std::thread::yield_now();
-            }
+            await_waiters(&ticket, 1);
             assert!(
-                matches!(cache.fetch_or_build(&k, None), FilterFetch::Overloaded),
+                matches!(cache.fetch_or_build(&k, None), Fetch::Overloaded),
                 "second joiner must be shed at the waiter cap"
             );
             ticket.complete(build(&host));
@@ -1435,18 +1237,14 @@ mod tests {
         assert_eq!(cache.dedup_waits(), 1);
         // The shed thread freed no slot it never held; a fresh fetch
         // after completion is a plain hit.
-        assert!(matches!(
-            cache.fetch_or_build(&k, None),
-            FilterFetch::Hit(_)
-        ));
+        assert!(matches!(cache.fetch_or_build(&k, None), Fetch::Hit(_)));
     }
 
     #[test]
     fn cancel_probe_aborts_a_dedup_wait() {
-        use std::sync::atomic::AtomicBool;
         let cache = FilterCache::new();
         let k = key("h", 1, "true");
-        let FilterFetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
             panic!("first fetch must build");
         };
         let cancelled = AtomicBool::new(false);
@@ -1454,14 +1252,13 @@ mod tests {
             let waiter = s.spawn(|| {
                 let probe = || cancelled.load(Ordering::Relaxed);
                 match cache.fetch_or_build_watch(&k, None, Some(&probe)) {
-                    FilterFetch::Cancelled => {}
+                    Fetch::Cancelled => {}
                     _ => panic!("the probe must abort the wait"),
                 }
             });
-            // Give the waiter time to actually block, then fire the
-            // probe; the builder never completes, so only cancellation
-            // can release the waiter.
-            std::thread::sleep(Duration::from_millis(10));
+            // Fire the probe once the waiter is blocked; the builder
+            // never completes, so only cancellation can release it.
+            await_waiters(&ticket, 1);
             cancelled.store(true, Ordering::Relaxed);
             waiter.join().unwrap();
         });
@@ -1474,23 +1271,24 @@ mod tests {
 
     #[test]
     fn invalidate_host_poisons_in_flight_builds() {
-        // The satellite-1 race: a builder registered before
-        // `invalidate_host` (model removal) must not resurrect an entry
-        // for the dead host when it completes afterwards.
+        // A builder registered before `invalidate_host` (model removal)
+        // must not resurrect an entry for the dead host when it
+        // completes afterwards.
         let cache = FilterCache::new();
         let host = path_host(4);
         let k = key("h", 1, "true");
-        let FilterFetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
             panic!("empty cache must hand out a build ticket");
         };
         cache.invalidate_host("h");
-        // Waiters joined before the poison still get the filter — the
-        // answer is correct for the epoch they asked about.
+        // Waiters of a poisoned build still get the filter — the answer
+        // is correct for the epoch they asked about.
         std::thread::scope(|s| {
             let waiter = s.spawn(|| match cache.fetch_or_build(&k, None) {
-                FilterFetch::Waited(f) => f,
+                Fetch::Waited(f) => f,
                 _ => panic!("joiner must share the in-flight build"),
             });
+            await_waiters(&ticket, 1);
             ticket.complete(build(&host));
             waiter.join().unwrap();
         });
@@ -1505,7 +1303,7 @@ mod tests {
         let cache = FilterCache::new();
         let host = path_host(4);
         let k = key("g", 1, "true");
-        let FilterFetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
+        let Fetch::MustBuild(ticket) = cache.fetch_or_build(&k, None) else {
             panic!("empty cache must hand out a build ticket");
         };
         cache.invalidate_host("h");
@@ -1521,10 +1319,11 @@ mod tests {
         cache.insert(key("h", 1, "a"), f.clone());
         let repaired = build(&host);
         let mut seen = None;
-        assert!(cache.try_patch(&key("h", 3, "a"), |old, _| {
+        let did = cache.repair(&key("h", 3, "a"), |old, _| {
             seen = Some(old);
             PatchDecision::Replace(repaired.clone())
-        }));
+        });
+        assert_eq!(did, Repaired::Patched);
         assert_eq!(seen, Some(ModelEpoch(1)));
         assert_eq!(cache.patches(), 1);
         assert_eq!(cache.promotions(), 0);
@@ -1540,11 +1339,40 @@ mod tests {
         let host = path_host(4);
         let f = build(&host);
         cache.insert(key("h", 1, "a"), f.clone());
-        assert!(cache.try_patch(&key("h", 3, "a"), |_, _| PatchDecision::Promote));
+        cache.insert(key("h", 1, "b"), f.clone());
+        let mut seen = None;
+        let did = cache.repair(&key("h", 3, "a"), |old, _| {
+            seen = Some(old);
+            PatchDecision::Promote
+        });
+        assert_eq!(did, Repaired::Promoted);
+        assert_eq!(seen, Some(ModelEpoch(1)));
         assert_eq!(cache.promotions(), 1);
         assert_eq!(cache.patches(), 0);
+        let misses_before = cache.misses();
         let got = cache.lookup(&key("h", 3, "a")).expect("promoted entry");
         assert!(Arc::ptr_eq(&got, &f), "promotion re-keys the same Arc");
+        assert_eq!(cache.misses(), misses_before, "promotion → hit, no miss");
+        assert!(
+            cache.lookup(&key("h", 1, "a")).is_none(),
+            "old key re-keyed"
+        );
+        assert!(
+            cache.lookup(&key("h", 1, "b")).is_some(),
+            "sibling constraints stay resident as future candidates"
+        );
+        // Promotions chain, and the newest superseded epoch wins: an
+        // older entry of the same lineage beside the epoch-3 slot is
+        // passed over.
+        cache.insert(key("h", 2, "a"), build(&host));
+        let did = cache.repair(&key("h", 5, "a"), |old, _| {
+            assert_eq!(old, ModelEpoch(3), "newest superseded epoch wins");
+            PatchDecision::Promote
+        });
+        assert_eq!(did, Repaired::Promoted);
+        assert_eq!(cache.promotions(), 2);
+        let got = cache.lookup(&key("h", 5, "a")).expect("chained promotion");
+        assert!(Arc::ptr_eq(&got, &f));
     }
 
     #[test]
@@ -1553,64 +1381,80 @@ mod tests {
         let host = path_host(4);
         let f = build(&host);
         cache.insert(key("h", 1, "a"), f.clone());
-        assert!(!cache.try_patch(&key("h", 3, "a"), |_, _| PatchDecision::Rebuild));
+        let did = cache.repair(&key("h", 3, "a"), |_, _| PatchDecision::Rebuild);
+        assert_eq!(did, Repaired::Rebuild);
         assert_eq!(cache.patch_rebuilds(), 1);
-        assert!(!cache.try_patch(&key("h", 3, "a"), |_, _| PatchDecision::Skip));
+        // A refusing verdict (unclassifiable window) promotes nothing.
+        let did = cache.repair(&key("h", 3, "a"), |_, _| PatchDecision::Skip);
+        assert_eq!(did, Repaired::Nothing);
         assert_eq!(cache.patch_rebuilds(), 1, "skip moves no counter");
         assert!(
             cache.lookup(&key("h", 1, "a")).is_some(),
             "fall-through leaves the candidate resident"
         );
-        // No candidate at all (different identity): decide never runs.
-        assert!(!cache.try_patch(&key("h", 3, "b"), |_, _| panic!(
-            "decide must not run without a candidate"
-        )));
+        // No candidate of the key's lineage: decide never runs.
+        let mut other_query = key("h", 3, "a");
+        other_query.query_hash += 1;
+        for (other, why) in [
+            (
+                key("h", 3, "b"),
+                "a different constraint is a different filter",
+            ),
+            (other_query, "a different query is a different filter"),
+            (
+                key("g", 3, "a"),
+                "a different host is a different namespace",
+            ),
+            (key("h", 0, "a"), "an older target epoch has no candidate"),
+        ] {
+            let did = cache.repair(&other, |_, _| panic!("decide ran: {why}"));
+            assert_eq!(did, Repaired::Nothing, "{why}");
+        }
         // An already-memoized key short-circuits without deciding.
         cache.insert(key("h", 3, "a"), f);
-        assert!(cache.try_patch(&key("h", 3, "a"), |_, _| panic!(
-            "decide must not run when the key is already present"
-        )));
-    }
-
-    fn hkey(host: &str, epoch: u64) -> HierarchyKey {
-        HierarchyKey {
-            host: host.to_string(),
-            epoch: ModelEpoch(epoch),
-            spec: netembed::HierarchySpec::default(),
-        }
+        let did = cache.repair(&key("h", 3, "a"), |_, _| {
+            panic!("decide must not run when the key is already present")
+        });
+        assert_eq!(did, Repaired::Present);
+        assert_eq!(cache.promotions(), 0, "nothing was re-keyed");
+        assert_eq!(cache.patches(), 0);
     }
 
     #[test]
     fn hierarchy_promotion_rekeys_the_superseded_entry() {
         let cache = HierarchyCache::new();
         let host = path_host(8);
-        let spec = netembed::HierarchySpec::default();
-        let h = Arc::new(netembed::SubstrateHierarchy::build(&host, &spec));
+        let h = Arc::new(SubstrateHierarchy::build(&host, &HierarchySpec::default()));
         cache.insert(hkey("h", 1), h.clone());
         let mut seen = None;
-        assert!(cache.try_promote(&hkey("h", 3), |old| {
+        let did = cache.repair(&hkey("h", 3), |old, _| {
             seen = Some(old);
-            true
-        }));
+            PatchDecision::Promote
+        });
+        assert_eq!(did, Repaired::Promoted);
         assert_eq!(seen, Some(ModelEpoch(1)));
         assert_eq!(cache.promotions(), 1);
         let got = cache.lookup(&hkey("h", 3)).expect("promoted");
         assert!(Arc::ptr_eq(&got, &h));
         assert!(cache.lookup(&hkey("h", 1)).is_none(), "old key re-keyed");
-        // Refusal and identity mismatches fall through.
-        assert!(!cache.try_promote(&hkey("h", 5), |_| false));
-        assert!(!cache.try_promote(&hkey("g", 5), |_| true));
+        // A dirty window rebuilds, an unclassifiable one skips, and
+        // identity mismatches have no candidate at all.
+        let did = cache.repair(&hkey("h", 5), |_, _| PatchDecision::Rebuild);
+        assert_eq!(did, Repaired::Rebuild);
+        let did = cache.repair(&hkey("h", 5), |_, _| PatchDecision::Skip);
+        assert_eq!(did, Repaired::Nothing);
         let mut wider = hkey("h", 5);
         wider.spec.min_nodes += 1;
-        assert!(
-            !cache.try_promote(&wider, |_| true),
-            "other spec, other key"
-        );
+        for (other, why) in [(hkey("g", 5), "other host"), (wider, "other spec")] {
+            let did = cache.repair(&other, |_, _| panic!("decide ran: {why}"));
+            assert_eq!(did, Repaired::Nothing, "{why}, other key");
+        }
         assert_eq!(cache.promotions(), 1);
         // Already-memoized target short-circuits without a verdict.
-        assert!(cache.try_promote(&hkey("h", 3), |_| panic!(
-            "verdict must not run when the key is already present"
-        )));
+        let did = cache.repair(&hkey("h", 3), |_, _| {
+            panic!("verdict must not run when the key is already present")
+        });
+        assert_eq!(did, Repaired::Present);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! so every applied delta both bumps the host's epoch *and* records its
 //! dirty-node set for
 //! [`ModelRegistry::dirty_between`](crate::ModelRegistry::dirty_between)
-//! (which the
-//! [`FilterCache`](crate::cache::FilterCache)'s epoch-promotion path
+//! (which the epoch caches' repair path,
+//! [`EpochCache::repair`](crate::cache::EpochCache::repair),
 //! consumes).
 //!
 //! ## Fault tolerance

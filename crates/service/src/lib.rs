@@ -75,10 +75,11 @@
 //! Beside the pool layer sits the **HIERARCHY** layer, engaged when a
 //! request's [`Options::hierarchy`](netembed::Options) is set: the
 //! host substrate is coarsened once into a multilevel
-//! [`SubstrateHierarchy`](netembed::SubstrateHierarchy) — cached per
-//! `(host, epoch, spec)` in the service's [`cache::HierarchyCache`],
-//! warmable ahead of traffic via
-//! [`NetEmbedService::warm_hierarchy`] — and each run refines
+//! [`SubstrateHierarchy`] — cached per `(host, epoch, spec)` in the
+//! service's [`cache::HierarchyCache`], the same [`cache::EpochCache`]
+//! the filters live in (so concurrent cold misses coarsen once and the
+//! waiters share the builder's `Arc`), and warmable ahead of traffic
+//! via [`NetEmbedService::warm_hierarchy`] — and each run refines
 //! top-down: sound abstract constraint verdicts over aggregated
 //! super-node bounds prune whole subtrees, and the exact filter is
 //! built only inside the survivors
@@ -108,9 +109,10 @@
 //! *patches* a clone with
 //! [`FilterMatrix::patch`](netembed::FilterMatrix::patch) and re-keys
 //! it, and a window that adds a feasible candidate falls back to a full
-//! rebuild ([`FilterCache::try_patch`]; see the cache module's "Epoch
-//! patching" docs) — and the admission layer reads the feed's health
-//! for the staleness gate below.
+//! rebuild ([`EpochCache::repair`](cache::EpochCache::repair); see the
+//! cache module's "Epoch repair" docs; a cached coarsening is promoted
+//! across an empty window and rebuilt across any other) — and the
+//! admission layer reads the feed's health for the staleness gate below.
 //!
 //! ### Staleness and degradation
 //!
@@ -163,9 +165,10 @@
 //!   [`ShedMode`]: a deterministic
 //!   [`ServiceError::Overloaded`] ([`ShedMode::Reject`]) or a fast
 //!   timed-out `Inconclusive` ([`ShedMode::DegradeInconclusive`]).
-//! * **`FilterCache::fetch_or_build`** — at most `max_dedup_waiters`
-//!   threads may block on one in-flight filter build; the excess is
-//!   shed the same way instead of convoying behind a single build.
+//! * **`EpochCache::fetch_or_build`** — at most `max_dedup_waiters`
+//!   threads may block on one in-flight cached build (a filter build or
+//!   a substrate coarsening); the excess is shed the same way instead
+//!   of convoying behind a single build.
 //!
 //! Priorities enter through [`Planner::submit_with`];
 //! [`Planner::submit`] is `Normal`. Shedding never reorders accepted
@@ -260,28 +263,17 @@ pub use registry::{DirtySet, ModelEpoch, ModelRegistry};
 pub use reservation::{Reservation, ReservationError, ReservationManager};
 pub use schedule::{Allocation, ScheduleError, ScheduledEmbedding, Scheduler, Tick};
 
+use cache::{EpochCache, EpochKey, Fetch, Repaired};
 use netembed::{
     Deadline, EmbedScratch, HistogramSnapshot, Mapping, Options, Outcome, PatchOutcome, Problem,
-    ProblemError, SearchStats,
+    ProblemError, SearchStats, SubstrateHierarchy,
 };
 use netgraph::Network;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Outcome bits of one [`NetEmbedService::repair_filter`] call, stamped
-/// into the requesting batch's [`SearchStats`] (`patches` /
-/// `patch_rebuilds`) so per-request telemetry shows which epoch windows
-/// were repaired in place and which forced a rebuild.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FilterRepair {
-    /// A superseded cached filter was cloned, patched in place and
-    /// re-keyed for this window (a full rebuild saved).
-    pub patched: bool,
-    /// The window added a feasible candidate (or the patch could not
-    /// run): the normal miss/build path follows.
-    pub patch_rebuild: bool,
-}
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A query submitted to the service.
 #[derive(Debug, Clone)]
@@ -515,7 +507,7 @@ impl NetEmbedService {
         NetEmbedService {
             registry: ModelRegistry::new(),
             cache: FilterCache::new().with_max_waiters(config.admission.max_dedup_waiters),
-            hierarchies: HierarchyCache::new(),
+            hierarchies: HierarchyCache::new().with_max_waiters(config.admission.max_dedup_waiters),
             scratches: Mutex::new(Vec::new()),
             config,
             planner_shards,
@@ -553,11 +545,15 @@ impl NetEmbedService {
     /// This is the warm-up path for latency-sensitive callers on large
     /// substrates (construction at 10^5+ nodes is seconds of work that
     /// should not land on the first query's budget).
+    ///
+    /// A coarsening already in flight is waited for, not repeated;
+    /// beyond [`AdmissionPolicy::max_dedup_waiters`] waiters the call
+    /// is shed with [`ServiceError::Overloaded`].
     pub fn warm_hierarchy(
         &self,
         host: &str,
         spec: netembed::HierarchySpec,
-    ) -> Result<std::sync::Arc<netembed::SubstrateHierarchy>, ServiceError> {
+    ) -> Result<Arc<SubstrateHierarchy>, ServiceError> {
         let (net, epoch) = self
             .registry
             .get(host)
@@ -567,18 +563,18 @@ impl NetEmbedService {
             epoch,
             spec,
         };
-        // Empty-window promotion: an epoch bump that provably changed
-        // no node re-keys the superseded hierarchy instead of
-        // re-coarsening the whole substrate.
-        self.hierarchies.try_promote(&key, |old| {
-            self.registry
-                .dirty_between(host, old, epoch)
-                .is_some_and(|dirty| dirty.is_empty())
-        });
-        let (hier, _hit) = self
-            .hierarchies
-            .fetch_or_build(&key, || netembed::SubstrateHierarchy::build(&net, &spec));
-        Ok(hier)
+        match self.fetch_hierarchy(&key, None, None) {
+            Fetch::Hit(hier) | Fetch::Waited(hier) => Ok(hier),
+            Fetch::MustBuild(ticket) => {
+                let hier = Arc::new(SubstrateHierarchy::build(&net, &spec));
+                ticket.complete(hier.clone());
+                Ok(hier)
+            }
+            Fetch::Overloaded => Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull)),
+            Fetch::WaitExpired | Fetch::Cancelled => {
+                unreachable!("an unbounded wait without a cancel probe")
+            }
+        }
     }
 
     /// The service's configuration (admission policy, parking caps).
@@ -617,12 +613,14 @@ impl NetEmbedService {
         &self.feed
     }
 
-    /// Remove a model *and* eagerly drop the host's cached filters.
-    /// [`ModelRegistry::remove`] alone leaves the removed host's
-    /// [`FilterCache`] entries resident until LRU pressure evicts them
+    /// Remove a model *and* eagerly drop the host's cached filters and
+    /// coarsenings. [`ModelRegistry::remove`] alone leaves the removed
+    /// host's cache entries resident until LRU pressure evicts them
     /// — epoch keying keeps them unservable, but a removed namespace
     /// should not pin cache slots (and a promotion must never consider
-    /// a dead host's entries), so the service pairs the two.
+    /// a dead host's entries), so the service pairs the two. A build
+    /// still in flight for the host completes for its waiters but
+    /// memoizes nothing.
     pub fn remove_model(&self, name: &str) -> Option<std::sync::Arc<Network>> {
         let model = self.registry.remove(name);
         if model.is_some() {
@@ -657,51 +655,75 @@ impl NetEmbedService {
         })
     }
 
-    /// Dirty-window cache repair (see [`FilterCache::try_patch`] and
-    /// the cache module's "Epoch patching" docs): before resolving
-    /// `key` through the cache, classify the accumulated dirty window
-    /// against the newest superseded same-identity entry —
+    /// Dirty-window cache repair, the one classification both epoch
+    /// caches share (see [`EpochCache::repair`] and the cache module's
+    /// "Epoch repair" docs): before resolving `key` through `cache`,
+    /// classify the registry's accumulated dirty window against the
+    /// newest superseded entry of the key's lineage —
     ///
     /// * window unknowable (broken delta chain, plain `update`) →
     ///   skip, normal miss/build;
     /// * window provably empty → *promote* the entry in place;
-    /// * otherwise → clone the superseded matrix and repair it with
-    ///   [`FilterMatrix::patch`](netembed::FilterMatrix::patch) under
-    ///   `problem` (compiled at `key.epoch`); a removal-only window
-    ///   re-keys the repaired clone, while a window that *added* a
-    ///   feasible candidate falls back to a full rebuild.
+    /// * otherwise → `patch` decides from the dirty set and the
+    ///   superseded value: repair a clone, or rebuild.
+    fn repair<K: EpochKey, V>(
+        &self,
+        cache: &EpochCache<K, V>,
+        key: &K,
+        patch: impl FnOnce(&DirtySet, &V) -> PatchDecision<V>,
+    ) -> Repaired {
+        cache.repair(key, |old, value| {
+            match self.registry.dirty_between(key.host(), old, key.epoch()) {
+                None => PatchDecision::Skip,
+                Some(dirty) if dirty.is_empty() => PatchDecision::Promote,
+                Some(dirty) => patch(&dirty, value),
+            }
+        })
+    }
+
+    /// Filter repair ([`NetEmbedService::repair`]): a non-empty window
+    /// clones the superseded matrix and repairs it with
+    /// [`FilterMatrix::patch`](netembed::FilterMatrix::patch) under
+    /// `problem` (compiled at `key.epoch`); a removal-only window
+    /// re-keys the repaired clone, while a window that *added* a
+    /// feasible candidate falls back to a full rebuild.
     ///
     /// Routing every non-empty window through the patch path is what
     /// makes epoch reuse sound for additive mutations: the old
     /// touched-host intersection could not see a dirty node becoming
     /// newly admissible outside the cached candidate set, and would
     /// promote a filter that silently misses solutions.
-    pub(crate) fn repair_filter(&self, key: &FilterKey, problem: &Problem<'_>) -> FilterRepair {
-        let mut repair = FilterRepair::default();
-        let outcome = &mut repair;
-        self.cache.try_patch(key, |old, filter| {
-            match self.registry.dirty_between(&key.host, old, key.epoch) {
-                None => PatchDecision::Skip,
-                Some(dirty) if dirty.is_empty() => PatchDecision::Promote,
-                Some(dirty) => {
-                    let ids: Vec<netgraph::NodeId> = dirty.iter().map(netgraph::NodeId).collect();
-                    let mut repaired = (*filter).clone();
-                    let mut dl = Deadline::unlimited();
-                    let mut stats = SearchStats::default();
-                    match repaired.patch(problem, &ids, &mut dl, &mut stats) {
-                        Ok(PatchOutcome::Patched) => {
-                            outcome.patched = true;
-                            PatchDecision::Replace(std::sync::Arc::new(repaired))
-                        }
-                        Ok(PatchOutcome::NeedsRebuild) | Err(_) => {
-                            outcome.patch_rebuild = true;
-                            PatchDecision::Rebuild
-                        }
-                    }
+    pub(crate) fn repair_filter(&self, key: &FilterKey, problem: &Problem<'_>) -> Repaired {
+        self.repair(&self.cache, key, |dirty, filter| {
+            let ids: Vec<netgraph::NodeId> = dirty.iter().map(netgraph::NodeId).collect();
+            let mut repaired = filter.clone();
+            let mut dl = Deadline::unlimited();
+            let mut stats = SearchStats::default();
+            match repaired.patch(problem, &ids, &mut dl, &mut stats) {
+                Ok(PatchOutcome::Patched) => {
+                    debug_assert!(!repaired.truncated(), "caching a truncated patch");
+                    PatchDecision::Replace(Arc::new(repaired))
                 }
+                Ok(PatchOutcome::NeedsRebuild) | Err(_) => PatchDecision::Rebuild,
             }
-        });
-        repair
+        })
+    }
+
+    /// Resolve the coarsening `key` names through the hierarchy cache's
+    /// in-flight table, after the epoch repair: a coarsening aggregates
+    /// every node, so an empty dirty window promotes the superseded one
+    /// and any other window rebuilds it. The caller coarsens on
+    /// [`Fetch::MustBuild`]; a concurrent miss waits (at most
+    /// `wait_budget`, abandoned early by `cancel`) for that build.
+    pub(crate) fn fetch_hierarchy(
+        &self,
+        key: &HierarchyKey,
+        wait_budget: Option<Duration>,
+        cancel: Option<&dyn Fn() -> bool>,
+    ) -> Fetch<'_, HierarchyKey, SubstrateHierarchy> {
+        self.repair(&self.hierarchies, key, |_, _| PatchDecision::Rebuild);
+        self.hierarchies
+            .fetch_or_build_watch(key, wait_budget, cancel)
     }
 
     /// The parked-scratch cap in force right now: an explicit
@@ -908,18 +930,20 @@ pub struct ServiceTelemetry {
     /// that skipped substrate coarsening entirely.
     pub hierarchy_cache_hits: u64,
     /// Lifetime [`HierarchyCache`] lookup misses (each one coarsened
-    /// the substrate once).
+    /// the substrate once; concurrent misses on one key wait for that
+    /// build instead of counting here).
     pub hierarchy_cache_misses: u64,
     /// Lifetime superseded hierarchies re-keyed across an empty dirty
-    /// window ([`HierarchyCache::try_promote`]) — re-coarsenings saved.
+    /// window ([`EpochCache::repair`]'s promote arm) — re-coarsenings
+    /// saved.
     pub hierarchy_promotions: u64,
     /// Lifetime [`FilterCache`] entries re-keyed across an empty dirty
-    /// window ([`FilterCache::try_promote`]) — filter rebuilds saved
-    /// without touching a single cell.
+    /// window ([`EpochCache::repair`]'s promote arm) — filter rebuilds
+    /// saved without touching a single cell.
     pub filter_cache_promotions: u64,
     /// Lifetime [`FilterCache`] entries repaired in place across a
-    /// removal-only dirty window ([`FilterCache::try_patch`]) — filter
-    /// rebuilds turned into dirty-window re-scans.
+    /// removal-only dirty window ([`EpochCache::repair`]'s replace arm)
+    /// — filter rebuilds turned into dirty-window re-scans.
     pub filter_cache_patches: u64,
     /// Lifetime patch attempts that fell back to a full rebuild
     /// because the window added a feasible candidate (the additive-
@@ -1553,6 +1577,67 @@ mod tests {
         }
         svc.registry().register("h", updated);
         assert_eq!(svc.submit(&req).unwrap().mappings().len(), 0);
+    }
+
+    /// Registers the triangle host and claims its cold coarsening's
+    /// build ticket, as a concurrent first hierarchical run would.
+    fn hold_coarsening(
+        svc: &NetEmbedService,
+    ) -> cache::BuildTicket<'_, HierarchyKey, SubstrateHierarchy> {
+        svc.registry().register("plab", triangle_host());
+        let key = HierarchyKey {
+            host: "plab".into(),
+            epoch: svc.registry().epoch("plab").unwrap(),
+            spec: netembed::HierarchySpec::default(),
+        };
+        match svc.hierarchy_cache().fetch_or_build(&key, None) {
+            Fetch::MustBuild(ticket) => ticket,
+            _ => panic!("a cold coarsening must hand out a build ticket"),
+        }
+    }
+
+    #[test]
+    fn hierarchical_submit_waits_for_the_in_flight_coarsening() {
+        // A coarsening already in flight is not repeated: the submit
+        // waits on it, and a wait that outlives the budget reports a
+        // timeout, exactly like a filter-build wait.
+        let svc = NetEmbedService::new();
+        let ticket = hold_coarsening(&svc);
+        let resp = svc
+            .submit(&QueryRequest {
+                host: "plab".into(),
+                query: edge_query(),
+                constraint: "rEdge.avgDelay <= 15.0".into(),
+                options: Options {
+                    timeout: Some(Duration::from_millis(50)),
+                    hierarchy: Some(netembed::HierarchySpec::default()),
+                    ..Options::default()
+                },
+            })
+            .unwrap();
+        assert!(matches!(resp.outcome, Outcome::Inconclusive));
+        assert!(resp.stats.timed_out);
+        assert!(resp.stats.elapsed >= Duration::from_millis(50));
+        assert_eq!(
+            svc.hierarchy_cache().misses(),
+            1,
+            "the submit must not coarsen a second copy"
+        );
+        drop(ticket);
+    }
+
+    #[test]
+    fn coarsening_finished_after_remove_model_memoizes_nothing() {
+        let svc = NetEmbedService::new();
+        let ticket = hold_coarsening(&svc);
+        let model = svc.remove_model("plab").expect("registered host");
+        let spec = netembed::HierarchySpec::default();
+        ticket.complete(Arc::new(SubstrateHierarchy::build(&model, &spec)));
+        assert_eq!(
+            svc.telemetry().hierarchies_resident,
+            0,
+            "a removed host's coarsening must not be resurrected"
+        );
     }
 }
 

@@ -820,10 +820,18 @@ impl<'svc> Planner<'svc> {
         // Epoch repair: a superseded-epoch cached filter is re-keyed
         // across a clean window, patched in place across a subtractive
         // one, or left to the miss below to rebuild (same
-        // classification as the prepared path); the cache's
-        // `patches`/`promotions` counters carry the evidence into
-        // telemetry.
-        self.svc.repair_filter(&key, &problem);
+        // classification as the prepared path). The repair ran once
+        // for the group, so it is credited to the first member that
+        // receives a response: summing `patches`/`patch_rebuilds` over
+        // responses then reproduces the cache's counters.
+        let mut repair = Some(self.svc.repair_filter(&key, &problem));
+        let mut respond = |id, mut response: Result<QueryResponse, ServiceError>| {
+            if let (Ok(answer), Some(done)) = (&mut response, repair) {
+                done.credit(&mut answer.stats);
+                repair = None;
+            }
+            self.deliver(shard, id, response);
+        };
         // Stamped once per group: every member dispatches against the
         // same epoch, so they share one staleness verdict.
         let staleness = self.svc.current_staleness(key.epoch);
@@ -843,8 +851,7 @@ impl<'svc> Planner<'svc> {
                     if remaining.is_zero() {
                         // Deadline died in the queue: a timed-out
                         // member, not a poisoned group.
-                        self.deliver(
-                            shard,
+                        respond(
                             member.id,
                             Ok(QueryResponse {
                                 outcome: Outcome::Inconclusive,
@@ -944,7 +951,7 @@ impl<'svc> Planner<'svc> {
                     Err(ServiceError::Internal(panic_message(&*payload)))
                 }
             };
-            self.deliver(shard, member.id, response);
+            respond(member.id, response);
         }
         self.svc.checkin_scratch(scratch);
         self.svc
@@ -1591,7 +1598,7 @@ mod tests {
         // must release its queue-depth slot exactly once. Pinned to one
         // shard: stage 5 needs the two distinct-key groups in one FIFO
         // lane so the mate's wait dispatches the blocked group first.
-        use crate::cache::FilterFetch;
+        use crate::cache::Fetch;
         use crate::{AdmissionPolicy, ShedMode};
         let svc = NetEmbedService::with_config(
             ServiceConfig::default().planner_shards(1).admission(
@@ -1650,7 +1657,7 @@ mod tests {
             query_hash: crate::cache::network_fingerprint(&req.query),
             constraint: "rEdge.avgDelay > 5.0".into(),
         };
-        let FilterFetch::MustBuild(build) = svc.cache().fetch_or_build(&key, None) else {
+        let Fetch::MustBuild(build) = svc.cache().fetch_or_build(&key, None) else {
             panic!("fresh key must hand out the build ticket");
         };
         let blocked_req = PlannedRequest {
@@ -1714,8 +1721,8 @@ mod tests {
             query_hash: crate::cache::network_fingerprint(&blocked.query),
             constraint: blocked.constraint.clone(),
         };
-        use crate::cache::FilterFetch;
-        let FilterFetch::MustBuild(build) = svc.cache().fetch_or_build(&key, None) else {
+        use crate::cache::Fetch;
+        let Fetch::MustBuild(build) = svc.cache().fetch_or_build(&key, None) else {
             panic!("fresh key must hand out the build ticket");
         };
         let victim = planner.submit(&blocked).unwrap();

@@ -23,8 +23,8 @@
 //!   allocation-free and spawn-free
 //!   ([`SearchStats::pool_reuse`](netembed::SearchStats) shows it).
 
-use crate::admission::{FaultInjector, ShedMode, ShedReason};
-use crate::cache::{FilterCache, FilterFetch, FilterKey, HierarchyCache, HierarchyKey};
+use crate::admission::{ShedMode, ShedReason};
+use crate::cache::{Fetch, FilterCache, FilterKey, HierarchyKey};
 use crate::{NetEmbedService, QueryResponse, ServiceError};
 use cexpr::Expr;
 use netembed::{
@@ -33,6 +33,7 @@ use netembed::{
 };
 use netgraph::Network;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A compiled, cache-connected `(host, query, constraint)` request.
 /// Created by [`NetEmbedService::prepare`]; run any number of times
@@ -204,8 +205,7 @@ impl<'svc> PreparedQuery<'svc> {
         // response so a submit loop can sum `patches`/`patch_rebuilds`
         // across responses, mirroring `filter_cache_hits`.
         if let Some(first) = responses.first_mut() {
-            first.stats.patches += u64::from(repair.patched);
-            first.stats.patch_rebuilds += u64::from(repair.patch_rebuild);
+            repair.credit(&mut first.stats);
         }
         Ok(responses)
     }
@@ -230,21 +230,16 @@ impl std::fmt::Debug for PreparedQuery<'_> {
 }
 
 /// Everything [`run_cached`] needs from its host: the filter cache to
-/// resolve through, plus the service-only overload hooks — the fault
-/// injector and the dispatcher's cancel probe. The standalone
-/// [`crate::schedule::Scheduler`] runs `bare`: its private cache, no
-/// fault injection, no cancellation.
+/// resolve through, the owning service, and the dispatcher's cancel
+/// probe. The standalone [`crate::schedule::Scheduler`] runs `bare`:
+/// its private cache, no service, no cancellation.
 pub(crate) struct RunCtx<'a> {
     cache: &'a FilterCache,
-    /// Coarsened-substrate memo for hierarchical runs; `None` makes a
-    /// hierarchical run coarsen per-call (the bare scheduler path).
-    hierarchies: Option<&'a HierarchyCache>,
-    /// The delta-feed registry, for classifying epoch windows: a
-    /// hierarchical run consults it to promote a superseded coarsening
-    /// across a provably-clean epoch bump before paying a rebuild.
-    /// `None` (the bare scheduler) always rebuilds on an epoch move.
-    registry: Option<&'a crate::registry::ModelRegistry>,
-    faults: Option<&'a FaultInjector>,
+    /// The service whose hierarchy cache and registry serve
+    /// hierarchical runs and whose fault injector drives chaos tests;
+    /// `None` (the bare scheduler) coarsens per call and injects
+    /// nothing.
+    svc: Option<&'a NetEmbedService>,
     cancel: Option<&'a dyn Fn() -> bool>,
 }
 
@@ -252,9 +247,7 @@ impl<'a> RunCtx<'a> {
     pub(crate) fn service(svc: &'a NetEmbedService, cancel: Option<&'a dyn Fn() -> bool>) -> Self {
         Self {
             cache: svc.cache(),
-            hierarchies: Some(svc.hierarchy_cache()),
-            registry: Some(svc.registry()),
-            faults: Some(svc.faults()),
+            svc: Some(svc),
             cancel,
         }
     }
@@ -262,9 +255,7 @@ impl<'a> RunCtx<'a> {
     pub(crate) fn bare(cache: &'a FilterCache) -> Self {
         Self {
             cache,
-            hierarchies: None,
-            registry: None,
-            faults: None,
+            svc: None,
             cancel: None,
         }
     }
@@ -273,7 +264,7 @@ impl<'a> RunCtx<'a> {
 /// One engine run through the service's filter cache: pinned/hit →
 /// reuse the memoized matrix (`stats.filter_cache_hits = 1`, zero build
 /// evals); miss → resolve through the cache's in-flight dedup table
-/// ([`crate::cache::FilterCache::fetch_or_build`]). A *designated
+/// ([`crate::cache::EpochCache::fetch_or_build`]). A *designated
 /// builder* builds under this run's budget (parallel builds go through
 /// the scratch's persistent pool), charges the build to its own stats
 /// and timeout via the shared [`BuildCharge`] contract, and memoizes
@@ -324,38 +315,51 @@ pub(crate) fn run_cached(
         // a hierarchical run hit a full matrix and skip the very
         // pruning it asked for. The expensive shared artifact here is
         // the *coarsening*, which is per-`(host, epoch, spec)` and
-        // memoized in the service's `HierarchyCache`; both building and
-        // inserting run outside any lock, and a duplicate build race is
-        // benign (deterministic construction, last insert wins).
-        let (hier, hit) = match ctx.hierarchies {
-            Some(hierarchies) => {
-                let hkey = HierarchyKey {
-                    host: key.host.clone(),
-                    epoch: key.epoch,
-                    spec,
-                };
-                // Coarsenings depend only on topology and attributes:
-                // an epoch bump whose dirty window is provably empty
-                // (a tracked no-op delta) re-keys the superseded
-                // coarsening instead of rebuilding it.
-                if let Some(registry) = ctx.registry {
-                    hierarchies.try_promote(&hkey, |old| {
-                        registry
-                            .dirty_between(&hkey.host, old, hkey.epoch)
-                            .is_some_and(|dirty| dirty.is_empty())
-                    });
-                }
-                hierarchies.fetch_or_build(&hkey, || {
-                    netembed::SubstrateHierarchy::build(problem.host, &spec)
-                })
-            }
-            None => (
-                Arc::new(netembed::SubstrateHierarchy::build(problem.host, &spec)),
-                false,
-            ),
+        // resolved through the service's `HierarchyCache` exactly like
+        // a filter: repaired across the dirty window, built once by a
+        // designated builder while concurrent misses wait for its `Arc`
+        // (at most for their budget), shed past the waiter cap.
+        let Some(svc) = ctx.svc else {
+            let hier = netembed::SubstrateHierarchy::build(problem.host, &spec);
+            return Ok(Engine::run_hier(problem, &hier, options, scratch)?);
         };
-        let mut result = Engine::run_hier(problem, &hier, options, scratch)?;
+        let hkey = HierarchyKey {
+            host: key.host.clone(),
+            epoch: key.epoch,
+            spec,
+        };
+        let wait_started = Instant::now();
+        let mut waited = Duration::ZERO;
+        let (hier, hit) = match svc.fetch_hierarchy(&hkey, options.timeout, ctx.cancel) {
+            Fetch::Hit(hier) => (hier, true),
+            Fetch::Waited(hier) => {
+                waited = wait_started.elapsed();
+                (hier, true)
+            }
+            Fetch::MustBuild(ticket) => {
+                let hier = Arc::new(netembed::SubstrateHierarchy::build(problem.host, &spec));
+                ticket.complete(hier.clone());
+                (hier, false)
+            }
+            Fetch::WaitExpired => {
+                let mut result = shed_inconclusive();
+                result.stats.elapsed = wait_started.elapsed();
+                return Ok(result);
+            }
+            Fetch::Overloaded => {
+                return Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull))
+            }
+            Fetch::Cancelled => return Ok(shed_inconclusive()),
+        };
+        // A hit delivered late: the wait consumed wall time on this
+        // run's budget, as in the filter path below.
+        let run_options = Options {
+            timeout: options.timeout.map(|t| t.saturating_sub(waited)),
+            ..options.clone()
+        };
+        let mut result = Engine::run_hier(problem, &hier, &run_options, scratch)?;
         result.stats.hierarchy_cache_hits = u64::from(hit);
+        result.stats.elapsed += waited;
         return Ok(result);
     }
     if let Some(filter) = pinned.as_ref().cloned() {
@@ -368,13 +372,13 @@ pub(crate) fn run_cached(
         .cache
         .fetch_or_build_watch(key, options.timeout, ctx.cancel)
     {
-        FilterFetch::Hit(filter) => {
+        Fetch::Hit(filter) => {
             *pinned = Some(filter.clone());
             let mut result = Engine::run_prebuilt(problem, &filter, options, scratch)?;
             result.stats.filter_cache_hits += 1;
             Ok(result)
         }
-        FilterFetch::Waited(filter) => {
+        Fetch::Waited(filter) => {
             // Someone else built this key while we blocked: a cache hit
             // delivered late. The wait consumed real wall time on this
             // run's budget (but no CPU), so the search runs on the
@@ -391,7 +395,7 @@ pub(crate) fn run_cached(
             result.stats.elapsed += charge.spent();
             Ok(result)
         }
-        FilterFetch::WaitExpired => {
+        Fetch::WaitExpired => {
             // The whole budget went into waiting on a build that did
             // not finish in time — the same observable outcome as a
             // deadline-truncated own build.
@@ -400,35 +404,32 @@ pub(crate) fn run_cached(
             // expired wait saved nothing, exactly as the cache counts
             // it.
             charge.finish_build(scratch.parallel.pool().spawned_total());
-            Ok(EmbedResult {
-                mappings: Vec::new(),
-                outcome: Outcome::Inconclusive,
-                stats: SearchStats {
-                    timed_out: true,
-                    elapsed: charge.spent(),
-                    ..SearchStats::default()
-                },
-            })
+            let mut result = shed_inconclusive();
+            result.stats.elapsed = charge.spent();
+            Ok(result)
         }
-        FilterFetch::Overloaded => {
+        Fetch::Overloaded => {
             // The in-flight build's waiter convoy is full. The caller
             // decides what the shed resolves to (planner: telemetry +
             // per-mode delivery; direct path: degrade or propagate).
             Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull))
         }
-        FilterFetch::Cancelled => {
+        Fetch::Cancelled => {
             // The requester dropped its ticket while this thread waited
             // on its behalf; the result is discarded at delivery, so a
             // bare Inconclusive is enough.
             Ok(shed_inconclusive())
         }
-        FilterFetch::MustBuild(ticket) => {
+        Fetch::MustBuild(ticket) => {
             // Chaos injection: abandon this build as if its deadline
             // had truncated it — waiters wake and one takes over; the
             // "builder" reports a timeout. Identical to the organic
             // truncation path below, so nothing downstream can tell
             // injected faults from real ones.
-            if ctx.faults.is_some_and(|f| f.should_truncate_build()) {
+            if ctx
+                .svc
+                .is_some_and(|svc| svc.faults().should_truncate_build())
+            {
                 ticket.abandon();
                 charge.finish_build(scratch.parallel.pool().spawned_total());
                 let mut result = shed_inconclusive();

@@ -32,10 +32,11 @@
 //! [`crate::feed::RegistryFeed`]) additionally record *which host nodes*
 //! each epoch transition touched. [`ModelRegistry::dirty_between`]
 //! composes those per-transition [`DirtySet`]s into the union of
-//! everything dirtied between two epochs — the contract the
-//! [`FilterCache`](crate::cache::FilterCache)'s epoch-promotion path
-//! (and, per the ROADMAP, future in-place `FilterMatrix` patching)
-//! builds on. Untracked mutations ([`ModelRegistry::update`],
+//! everything dirtied between two epochs — the contract the epoch
+//! caches' repair path
+//! ([`EpochCache::repair`](crate::cache::EpochCache::repair): promote a
+//! cached filter or coarsening, or patch a filter in place) builds on.
+//! Untracked mutations ([`ModelRegistry::update`],
 //! [`ModelRegistry::register`]) deliberately *break* the transition
 //! chain: `dirty_between` across them returns `None`, which downstream
 //! consumers must treat as "anything may have changed" (full rebuild).

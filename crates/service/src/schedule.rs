@@ -110,25 +110,19 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler over `base` managing the listed capacity attributes,
-    /// with the default filter-cache capacity
-    /// ([`crate::cache::DEFAULT_CAPACITY`] residual models).
+    /// A scheduler over `base` managing the listed capacity attributes.
+    /// Its filter cache holds [`crate::cache::DEFAULT_CAPACITY`]
+    /// residual models: a `find_window` sweep probing more candidate
+    /// starts (≈ concurrently committed allocations + 1) still answers
+    /// correctly but evicts its own entries mid-sweep, losing the
+    /// re-sweep amortization.
     pub fn new(base: Network, capacities: &[&str]) -> Self {
-        Self::with_cache_capacity(base, capacities, crate::cache::DEFAULT_CAPACITY)
-    }
-
-    /// [`Scheduler::new`] with an explicit filter-cache capacity. Size
-    /// it to at least the number of candidate starts one `find_window`
-    /// sweep probes (≈ concurrently committed allocations + 1);
-    /// a smaller cache still answers correctly but evicts its own
-    /// entries mid-sweep, losing the re-sweep amortization.
-    pub fn with_cache_capacity(base: Network, capacities: &[&str], cache_capacity: usize) -> Self {
         Scheduler {
             base,
             capacities: capacities.iter().map(|s| s.to_string()).collect(),
             calendar: Vec::new(),
             next_id: 1,
-            cache: FilterCache::with_capacity(cache_capacity),
+            cache: FilterCache::new(),
             scratch: EmbedScratch::new(),
         }
     }

@@ -269,7 +269,7 @@ fn inflight_build_completed_after_remove_model_stays_dead() {
         constraint: constraint.into(),
     };
     let ticket = match svc.cache().fetch_or_build(&key, None) {
-        service::cache::FilterFetch::MustBuild(ticket) => ticket,
+        service::cache::Fetch::MustBuild(ticket) => ticket,
         _ => panic!("cold fetch must designate a builder"),
     };
 

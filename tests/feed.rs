@@ -486,6 +486,42 @@ fn churn_rounds() -> usize {
     }
 }
 
+/// Nodes of [`churn_ring`].
+const CHURN_RING: usize = 24;
+
+/// A ring of `cpu`-8 nodes: closed, so stripping nodes never
+/// disconnects the ends.
+fn churn_ring() -> Network {
+    let mut host = Network::new(Direction::Undirected);
+    let ids: Vec<_> = (0..CHURN_RING)
+        .map(|i| host.add_node(format!("h{i}")))
+        .collect();
+    for w in ids.windows(2) {
+        host.add_edge(w[0], w[1]);
+    }
+    host.add_edge(ids[CHURN_RING - 1], ids[0]);
+    for &id in &ids {
+        host.set_node_attr(id, "cpu", 8.0);
+    }
+    host
+}
+
+/// One removal-only churn round on [`churn_ring`]: degrade one node,
+/// round-robin, each time lower than before. The first lap drops each
+/// node below the query's cpu-3 floor (a real candidate removal),
+/// later laps keep shrinking already-infeasible nodes (a no-op
+/// repair). Two adjacent nodes stay untouched so the query stays
+/// feasible.
+fn degrade_one(svc: &NetEmbedService, round: usize) {
+    let victim = round % (CHURN_RING - 2);
+    let value = 2.0 / (1.0 + (round / (CHURN_RING - 2)) as f64);
+    svc.registry()
+        .update_dirty("h", DirtySet::from_ids([victim as u32]), |net| {
+            net.set_node_attr(NodeId(victim as u32), "cpu", value);
+        })
+        .unwrap();
+}
+
 /// The churn acceptance gate (CI smoke; `NETEMBED_CHURN_FULL=1` for
 /// the nightly soak): a sustained stream of removal-only deltas —
 /// host capacities only ever shrink — against a warm service keeps the
@@ -495,19 +531,8 @@ fn churn_rounds() -> usize {
 /// to a from-scratch build at that epoch.
 #[test]
 fn removal_only_churn_patches_without_a_single_rebuild() {
-    let mut host = Network::new(Direction::Undirected);
-    let n = 24;
-    let ids: Vec<_> = (0..n).map(|i| host.add_node(format!("h{i}"))).collect();
-    for w in ids.windows(2) {
-        host.add_edge(w[0], w[1]);
-    }
-    // Close the ring so stripping nodes never disconnects the ends.
-    host.add_edge(ids[n - 1], ids[0]);
-    for &id in &ids {
-        host.set_node_attr(id, "cpu", 8.0);
-    }
     let svc = NetEmbedService::new();
-    svc.registry().register("h", host);
+    svc.registry().register("h", churn_ring());
     let req = request("h");
 
     let cold = svc.submit(&req).unwrap();
@@ -516,18 +541,7 @@ fn removal_only_churn_patches_without_a_single_rebuild() {
 
     let rounds = churn_rounds();
     for round in 0..rounds {
-        // Degrade one node per round, round-robin, each time lower
-        // than before: the first lap drops each node below the query's
-        // cpu-3 floor (a real candidate removal), later laps keep
-        // shrinking already-infeasible nodes (a no-op repair). Leave
-        // two adjacent nodes untouched so the query stays feasible.
-        let victim = round % (n - 2);
-        let value = 2.0 / (1.0 + (round / (n - 2)) as f64);
-        svc.registry()
-            .update_dirty("h", DirtySet::from_ids([victim as u32]), |net| {
-                net.set_node_attr(NodeId(victim as u32), "cpu", value);
-            })
-            .unwrap();
+        degrade_one(&svc, round);
         let warm = svc.submit(&req).unwrap();
         assert_eq!(
             warm.stats.filter_cache_hits, 1,
@@ -558,6 +572,41 @@ fn removal_only_churn_patches_without_a_single_rebuild() {
     );
     let telemetry = svc.telemetry();
     assert_eq!(telemetry.filter_cache_patches, rounds as u64);
+    assert_eq!(telemetry.filter_cache_patch_rebuilds, 0);
+}
+
+/// The churn gate through the planner: a group's repair is credited to
+/// the response of its first member, so summing `patches` over planner
+/// responses reproduces the cache's counter exactly — every round's
+/// patch shows up in the response that was served from it.
+#[test]
+fn removal_only_churn_through_the_planner_credits_every_patch() {
+    let svc = NetEmbedService::new();
+    svc.registry().register("h", churn_ring());
+    let planner = svc.planner();
+    let req = request("h");
+
+    let cold = planner.run(&req).unwrap();
+    assert_eq!((cold.stats.patches, cold.stats.patch_rebuilds), (0, 0));
+    let misses_after_cold = svc.cache().misses();
+
+    let rounds = churn_rounds();
+    let mut patches = 0;
+    for round in 0..rounds {
+        degrade_one(&svc, round);
+        let warm = planner.run(&req).unwrap();
+        assert_eq!(warm.stats.patches, 1, "round {round}: every bump patches");
+        assert_eq!(warm.stats.patch_rebuilds, 0, "round {round}");
+        assert_eq!(
+            warm.stats.filter_cache_hits, 1,
+            "round {round}: the patched entry serves the read"
+        );
+        patches += warm.stats.patches;
+    }
+    assert_eq!(svc.cache().misses(), misses_after_cold, "no rebuild");
+    let telemetry = svc.telemetry();
+    assert_eq!(patches, telemetry.filter_cache_patches);
+    assert_eq!(patches, rounds as u64);
     assert_eq!(telemetry.filter_cache_patch_rebuilds, 0);
 }
 

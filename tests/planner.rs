@@ -18,7 +18,7 @@
 use netembed::{Algorithm, Options, Outcome, SearchMode};
 use netgraph::{Direction, Network};
 use proptest::prelude::*;
-use service::cache::{network_fingerprint, FilterFetch, FilterKey};
+use service::cache::{network_fingerprint, Fetch, FilterKey};
 use service::{AdmissionPolicy, NetEmbedService, PlannedRequest, QueryResponse, ServiceConfig};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -344,11 +344,11 @@ fn distinct_key_groups_dispatch_concurrently() {
         constraint: req.constraint.clone(),
     };
     let pin_a = match svc.cache().fetch_or_build(&key_of(&req_a), None) {
-        FilterFetch::MustBuild(ticket) => ticket,
+        Fetch::MustBuild(ticket) => ticket,
         _ => panic!("cold key A must elect this thread as builder"),
     };
     let pin_b = match svc.cache().fetch_or_build(&key_of(&req_b), None) {
-        FilterFetch::MustBuild(ticket) => ticket,
+        Fetch::MustBuild(ticket) => ticket,
         _ => panic!("cold key B must elect this thread as builder"),
     };
 
