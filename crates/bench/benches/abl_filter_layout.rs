@@ -1,14 +1,16 @@
 //! Ablation: hash-map filter layout (the seed) vs. the CSR-arena layout,
 //! on the paper's clique (fig 13) and BRITE (fig 11) scenarios.
 //!
-//! Five measurements per scenario:
+//! Measurements per scenario:
 //!
 //! * **build** — first-stage filter construction only
 //!   (`HashFilterMatrix::build` vs `FilterMatrix::build`);
-//! * **build_par** — the same construction via `FilterMatrix::build_par`
-//!   at [`PAR_THREADS`] threads (bitwise-identical output; the JSON also
-//!   records the machine's core count, since the speedup is bounded by
-//!   physical parallelism);
+//! * **build_par** — the same construction via
+//!   `FilterMatrix::build_par_pooled` at [`PAR_THREADS`] threads on one
+//!   reused `WorkerPool` whose threads park between builds (the engine's
+//!   `ParallelEcf` build; bitwise-identical output; the JSON also records
+//!   the machine's core count, since the speedup is bounded by physical
+//!   parallelism);
 //! * **search** — second stage only, over a prebuilt filter: the seed's
 //!   allocating, hash-probing, `binary_search`-intersecting DFS vs. the
 //!   allocation-free word-level CSR DFS. Both traverse the identical
@@ -16,14 +18,12 @@
 //! * **scratch_reuse** — the CSR search again, but through one caller-held
 //!   `SearchScratch` reused across runs (the service batch path), vs. the
 //!   fresh-arena-per-call `search_csr` series;
-//! * **search_par / search_steal** — the parallel second stage at
-//!   [`STEAL_WORKERS`] workers: `search_par` runs the scheduler with
-//!   splitting disabled (the static strided root partition, the old
-//!   code path), `search_steal` with the default work-stealing policy.
-//!   On a multi-core box `search_steal` is where skewed scenarios (see
-//!   the `skew-hub` row: one hub node owns every root subtree) catch
-//!   up; on a 1-core box the pair documents the scheduler's overhead
-//!   (the JSON records `host_cores` — compare `steal_overhead` there);
+//! * **search_steal** — the parallel second stage at [`STEAL_WORKERS`]
+//!   workers under the default work-stealing policy. On a multi-core
+//!   box this is where skewed scenarios (see the `skew-hub` row: one
+//!   hub node owns every root subtree) catch up with `search_csr`; on a
+//!   1-core box it documents the scheduler's overhead (the JSON records
+//!   `host_cores`);
 //! * **pool_cold / pool_warm** — the same stealing search with a fresh
 //!   `ParallelScratch` (empty `WorkerPool` → per-run thread spawn+join,
 //!   the pre-pool behaviour) vs. one reused scratch whose pool threads
@@ -55,7 +55,7 @@ use netembed::filter::reference::{self, HashFilterMatrix};
 use netembed::order::{compute_order, predecessors};
 use netembed::{
     ecf, parallel, CollectUpTo, Deadline, FilterMatrix, NodeOrder, Options, ParallelScratch,
-    Problem, SearchMode, SearchScratch, SearchStats, StealPolicy,
+    Problem, SearchMode, SearchScratch, SearchStats, StealPolicy, WorkerPool,
 };
 use netgraph::Network;
 use service::{NetEmbedService, QueryRequest};
@@ -73,7 +73,7 @@ const MATCH_CAP: usize = 2000;
 const SAMPLES: usize = 51;
 /// Thread count for the `build_par` series.
 const PAR_THREADS: usize = 4;
-/// Worker count for the `search_par`/`search_steal` series.
+/// Worker count for the `search_steal` and `pool_*` series.
 const STEAL_WORKERS: usize = 4;
 /// Concurrent client threads for the `planner_coalesce` /
 /// `submit_concurrent` series.
@@ -104,7 +104,6 @@ struct Row {
     search_hash_ns: u64,
     search_csr_ns: u64,
     search_scratch_ns: u64,
-    search_par_ns: u64,
     search_steal_ns: u64,
     pool_cold_ns: u64,
     pool_warm_ns: u64,
@@ -133,10 +132,19 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let f = FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap();
         f.cell_count() as u64
     });
+    let mut pool = WorkerPool::new();
     let build_par_ns = median_ns(|| {
         let mut dl = Deadline::unlimited();
         let mut stats = SearchStats::default();
-        let f = FilterMatrix::build_par(&problem, PAR_THREADS, &mut dl, &mut stats).unwrap();
+        let f = FilterMatrix::build_par_pooled(
+            &problem,
+            None,
+            PAR_THREADS,
+            &mut dl,
+            &mut stats,
+            &mut pool,
+        )
+        .unwrap();
         f.cell_count() as u64
     });
 
@@ -154,14 +162,16 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let mut sink = CollectUpTo::new(cap);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
+        let filter = FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap();
         ecf::search(
             &problem,
+            &filter,
             NodeOrder::AscendingCandidates,
             &mut dl,
             &mut sink,
             &mut stats,
-        )
-        .unwrap();
+            &mut SearchScratch::new(),
+        );
         sink.solutions.len()
     };
 
@@ -185,13 +195,14 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let mut sink = CollectUpTo::new(cap);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        ecf::search_prebuilt(
+        ecf::search(
             &problem,
             &csr_filter,
             NodeOrder::AscendingCandidates,
             &mut dl,
             &mut sink,
             &mut stats,
+            &mut SearchScratch::new(),
         );
         sink.solutions.len() as u64
     });
@@ -205,7 +216,7 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let mut sink = CollectUpTo::new(cap);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        ecf::search_prebuilt_with_scratch(
+        ecf::search(
             &problem,
             &csr_filter,
             NodeOrder::AscendingCandidates,
@@ -217,15 +228,12 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         sink.solutions.len() as u64
     });
 
-    // Parallel second stage at STEAL_WORKERS workers, one warm
-    // ParallelScratch per series (the steady state both paths share).
-    // `search_par` is the static strided root partition (splitting
-    // disabled — the pre-work-stealing code path); `search_steal` is the
-    // default work-stealing policy.
-    let run_par = |policy: StealPolicy, scratch: &mut ParallelScratch| -> u64 {
+    // Parallel second stage at STEAL_WORKERS workers under the default
+    // work-stealing policy, on one warm ParallelScratch.
+    let run_par = |scratch: &mut ParallelScratch| -> u64 {
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, _) = parallel::search_prebuilt_with_policy(
+        let (sols, _) = parallel::search(
             &problem,
             &csr_filter,
             STEAL_WORKERS,
@@ -234,28 +242,23 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
             &mut dl,
             &mut stats,
             scratch,
-            policy,
+            StealPolicy::default(),
         );
         sols.len() as u64
     };
-    let mut par_scratch = ParallelScratch::new();
-    let search_par_ns = median_ns(|| run_par(StealPolicy::disabled(), &mut par_scratch));
     let mut steal_scratch = ParallelScratch::new();
-    let search_steal_ns = median_ns(|| run_par(StealPolicy::default(), &mut steal_scratch));
+    let search_steal_ns = median_ns(|| run_par(&mut steal_scratch));
 
     // Persistent-pool ablation on the same work-stealing search:
     // `pool_cold` constructs a fresh `ParallelScratch` — and with it an
     // empty `WorkerPool` — inside the timed region, so every run pays
     // the full thread spawn+join (~65µs for 4 threads on the reference
-    // box: the pre-pool behaviour of `parallel::search*`); `pool_warm`
+    // box: the pre-pool behaviour of `parallel::search`); `pool_warm`
     // reuses one scratch whose pool threads stay parked between runs —
     // the service layer's steady state, zero spawns after warm-up.
-    let pool_cold_ns = median_ns(|| {
-        let mut cold_scratch = ParallelScratch::new();
-        run_par(StealPolicy::default(), &mut cold_scratch)
-    });
+    let pool_cold_ns = median_ns(|| run_par(&mut ParallelScratch::new()));
     let mut warm_scratch = ParallelScratch::new();
-    let pool_warm_ns = median_ns(|| run_par(StealPolicy::default(), &mut warm_scratch));
+    let pool_warm_ns = median_ns(|| run_par(&mut warm_scratch));
 
     // Cross-request series: PLANNER_CLIENTS concurrent identical
     // clients, each sample against a freshly-bumped model epoch so the
@@ -311,7 +314,6 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         search_hash_ns,
         search_csr_ns,
         search_scratch_ns,
-        search_par_ns,
         search_steal_ns,
         pool_cold_ns,
         pool_warm_ns,
@@ -321,7 +323,7 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         embed_csr_ns,
     };
     println!(
-        "{:<24} nq={:<3} nr={:<4} sols={:<5} build {:>9} -> {:>9} ns ({:.2}x)   build_par({PAR_THREADS}t) {:>9} ns ({:.2}x)   search {:>9} -> {:>9} ns ({:.2}x)   scratch {:>9} ns ({:.2}x)   par({STEAL_WORKERS}w) {:>9} ns   steal({STEAL_WORKERS}w) {:>9} ns ({:.2}x)   pool cold {:>9} -> warm {:>9} ns ({:.2}x)   submit({PLANNER_CLIENTS}c) {:>10} -> planner {:>10} ns ({:.2}x)   embed {:>10} -> {:>10} ns ({:.2}x)",
+        "{:<24} nq={:<3} nr={:<4} sols={:<5} build {:>9} -> {:>9} ns ({:.2}x)   build_par({PAR_THREADS}t) {:>9} ns ({:.2}x)   search {:>9} -> {:>9} ns ({:.2}x)   scratch {:>9} ns ({:.2}x)   steal({STEAL_WORKERS}w) {:>9} ns   pool cold {:>9} -> warm {:>9} ns ({:.2}x)   submit({PLANNER_CLIENTS}c) {:>10} -> planner {:>10} ns ({:.2}x)   embed {:>10} -> {:>10} ns ({:.2}x)",
         row.name,
         row.nq,
         row.nr,
@@ -336,9 +338,7 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         row.search_hash_ns as f64 / row.search_csr_ns.max(1) as f64,
         row.search_scratch_ns,
         row.search_csr_ns as f64 / row.search_scratch_ns.max(1) as f64,
-        row.search_par_ns,
         row.search_steal_ns,
-        row.search_par_ns as f64 / row.search_steal_ns.max(1) as f64,
         row.pool_cold_ns,
         row.pool_warm_ns,
         row.pool_cold_ns as f64 / row.pool_warm_ns.max(1) as f64,
@@ -355,8 +355,8 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
 /// The deliberately skewed instance: one hub host node (capacity 1)
 /// wired to `spokes` capacity-0 spokes that also form a cycle, and a
 /// star query whose hub needs capacity ≥ 1. Every root candidate is the
-/// hub — the worst case for the static root partition, the natural case
-/// for depth-bounded re-splitting.
+/// hub, so the parallel search gets its parallelism only from
+/// depth-bounded re-splitting.
 fn skew_scenario(spokes: usize, leaves: usize) -> (Network, QueryWorkload) {
     let mut h = Network::new(netgraph::Direction::Undirected);
     let hub = h.add_node("hub");
@@ -418,13 +418,13 @@ fn write_json(rows: &[Row], path: &PathBuf) {
             "    {{\"name\": \"{}\", \"nq\": {}, \"nr\": {}, \"solutions\": {}, \
              \"build_hashmap_ns\": {}, \"build_csr_ns\": {}, \"build_par_ns\": {}, \
              \"search_hashmap_ns\": {}, \"search_csr_ns\": {}, \"search_scratch_ns\": {}, \
-             \"search_par_ns\": {}, \"search_steal_ns\": {}, \
+             \"search_steal_ns\": {}, \
              \"search_pool_cold_ns\": {}, \"search_pool_warm_ns\": {}, \
              \"planner_coalesce_ns\": {}, \"submit_concurrent_ns\": {}, \
              \"embed_hashmap_ns\": {}, \"embed_csr_ns\": {}, \
              \"build_speedup\": {:.3}, \"build_par_speedup\": {:.3}, \
              \"search_speedup\": {:.3}, \"scratch_speedup\": {:.3}, \
-             \"steal_overhead\": {:.3}, \"pool_warm_speedup\": {:.3}, \
+             \"pool_warm_speedup\": {:.3}, \
              \"coalesce_speedup\": {:.3}, \
              \"embed_speedup\": {:.3}}}{}\n",
             json_escape(&r.name),
@@ -437,7 +437,6 @@ fn write_json(rows: &[Row], path: &PathBuf) {
             r.search_hash_ns,
             r.search_csr_ns,
             r.search_scratch_ns,
-            r.search_par_ns,
             r.search_steal_ns,
             r.pool_cold_ns,
             r.pool_warm_ns,
@@ -449,9 +448,6 @@ fn write_json(rows: &[Row], path: &PathBuf) {
             r.build_csr_ns as f64 / r.build_par_ns.max(1) as f64,
             r.search_hash_ns as f64 / r.search_csr_ns.max(1) as f64,
             r.search_csr_ns as f64 / r.search_scratch_ns.max(1) as f64,
-            // > 1.0 means stealing cost that much more wall time than the
-            // static partition *on this machine* — see host_cores.
-            r.search_steal_ns as f64 / r.search_par_ns.max(1) as f64,
             // > 1.0 means the warm persistent pool saved that factor of
             // wall time over per-run thread spawns.
             r.pool_cold_ns as f64 / r.pool_warm_ns.max(1) as f64,
@@ -492,8 +488,8 @@ fn main() {
 
     // Skew scenario for the work-stealing series: a single hub host node
     // owns every root candidate (node capacities restrict the query hub
-    // to it), so the static root partition runs the whole tree on one
-    // worker while `search_steal` re-splits the hub subtree.
+    // to it), so `search_steal` must re-split the hub subtree to use more
+    // than one worker.
     // The match cap is raised for this row so the measured region is
     // dominated by search work rather than the pool's thread spawns
     // (the whole point is comparing schedulers, not thread startup).

@@ -43,6 +43,7 @@ use service::{
     AdmissionPolicy, NetEmbedService, Priority, QueryRequest, QueryResponse, ServiceConfig,
     ServiceError, ShedMode,
 };
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -625,18 +626,28 @@ fn report_embed(result: &QueryResponse, query: &Network, host: &Network, quiet: 
             result.stats.constraint_evals,
         );
     }
+    let code = match &result.outcome {
+        _ if !result.mappings().is_empty() => ExitCode::SUCCESS,
+        Outcome::Complete(_) => ExitCode::from(1),
+        _ => ExitCode::from(3),
+    };
+    let mut out = std::io::stdout().lock();
     for m in result.mappings() {
         let row: Vec<String> = m
             .iter()
             .map(|(q, r)| format!("{}={}", query.node_name(q), host.node_name(r)))
             .collect();
-        println!("{}", row.join(" "));
+        match writeln!(out, "{}", row.join(" ")) {
+            Ok(()) => {}
+            // The reader went away (`… | head -1`): the rest is unwanted.
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => break,
+            Err(e) => {
+                eprintln!("cannot write mappings: {e}");
+                return ExitCode::from(2);
+            }
+        }
     }
-    match &result.outcome {
-        _ if !result.mappings().is_empty() => ExitCode::SUCCESS,
-        Outcome::Complete(_) => ExitCode::from(1),
-        _ => ExitCode::from(3),
-    }
+    code
 }
 
 fn cmd_gen(args: &[String]) -> ExitCode {

@@ -1,8 +1,9 @@
 //! End-to-end tests of the `netembed` binary: generate → inspect → embed,
 //! exercising the documented exit codes.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_netembed-cli"))
@@ -604,4 +605,50 @@ fn gen_datacenter_generators() {
     let net = graphml::from_str(&std::fs::read_to_string(&f).unwrap()).unwrap();
     assert_eq!(net.node_count(), 64);
     std::fs::remove_file(&f).ok();
+}
+
+#[test]
+fn closed_stdout_stops_quietly() {
+    let host = tmp("pipe-host.graphml");
+    let query = tmp("pipe-query.graphml");
+    for (kind, nodes, path) in [("clique", "40", &host), ("ring", "3", &query)] {
+        let out = run(&[
+            "gen",
+            kind,
+            "--nodes",
+            nodes,
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(out.status.success());
+    }
+    // 40·39·38 mapping rows: far more than a pipe buffer holds, so the
+    // CLI is still writing when the reader goes away (`… | head -1`).
+    let mut child = bin()
+        .args([
+            "embed",
+            "--host",
+            host.to_str().unwrap(),
+            "--query",
+            query.to_str().unwrap(),
+            "--constraint",
+            "true",
+            "--quiet",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    // The reader, and with it the pipe's read end, drops after one row.
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.contains('='), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    std::fs::remove_file(&host).ok();
+    std::fs::remove_file(&query).ok();
 }

@@ -20,9 +20,11 @@
 
 use crate::deadline::Deadline;
 use crate::ecf;
+use crate::filter::FilterMatrix;
 use crate::mapping::Mapping;
 use crate::order::NodeOrder;
 use crate::problem::Problem;
+use crate::scratch::SearchScratch;
 use crate::sink::{FnSink, SinkControl};
 use crate::stats::SearchStats;
 use netgraph::{Network, NodeId};
@@ -70,13 +72,17 @@ pub fn query_automorphisms(query: &Network, cap: usize) -> Automorphisms {
         });
         let mut deadline = Deadline::unlimited();
         let mut stats = SearchStats::default();
-        let _ = ecf::search(
-            &problem,
-            NodeOrder::AscendingCandidates,
-            &mut deadline,
-            &mut sink,
-            &mut stats,
-        );
+        if let Ok(filter) = FilterMatrix::build(&problem, &mut deadline, &mut stats) {
+            ecf::search(
+                &problem,
+                &filter,
+                NodeOrder::AscendingCandidates,
+                &mut deadline,
+                &mut sink,
+                &mut stats,
+                &mut SearchScratch::new(),
+            );
+        }
     }
     Automorphisms { perms, truncated }
 }

@@ -53,113 +53,64 @@ pub enum SearchEnd {
     Timeout,
 }
 
-/// Run the full ECF pipeline: build filters, order nodes, search.
-/// Solutions stream into `sink`; counters into `stats`.
+/// The ECF second stage: order the query nodes (Lemma 1) and run the DFS
+/// over a filter built for this problem ([`FilterMatrix::build`] or
+/// [`FilterMatrix::build_par_pooled`]). Solutions stream into `sink`;
+/// counters into `stats`, whose `elapsed` covers only this call. The
+/// per-depth frame arena lives in the caller's `scratch`, so a caller
+/// that keeps both the filter and the scratch searches again without
+/// allocating.
 pub fn search(
     problem: &Problem<'_>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-) -> Result<SearchEnd, crate::problem::ProblemError> {
-    search_with_scratch(
-        problem,
-        order,
-        deadline,
-        sink,
-        stats,
-        &mut SearchScratch::new(),
-    )
-}
-
-/// [`search`] with a caller-held [`SearchScratch`]: the per-depth frame
-/// arena survives across calls, so batch callers pay the DFS setup once.
-pub fn search_with_scratch(
-    problem: &Problem<'_>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-) -> Result<SearchEnd, crate::problem::ProblemError> {
-    let start = std::time::Instant::now();
-    let filter = FilterMatrix::build(problem, deadline, stats)?;
-    let end = search_prebuilt_with_scratch(problem, &filter, order, deadline, sink, stats, scratch);
-    stats.elapsed = start.elapsed();
-    stats.cpu_time = stats.elapsed;
-    Ok(end)
-}
-
-/// The second stage alone: order nodes and run the DFS over an already
-/// constructed filter. Lets callers amortize one filter build across
-/// several searches (different orders, sinks, or deadlines) and gives the
-/// `abl_filter_layout` ablation a search-only measurement. `stats.elapsed`
-/// covers only this call.
-pub fn search_prebuilt(
-    problem: &Problem<'_>,
     filter: &FilterMatrix,
     order: NodeOrder,
     deadline: &mut Deadline,
     sink: &mut dyn SolutionSink,
     stats: &mut SearchStats,
+    scratch: &mut SearchScratch,
 ) -> SearchEnd {
-    search_prebuilt_with_scratch(
-        problem,
-        filter,
-        order,
-        deadline,
-        sink,
-        stats,
-        &mut SearchScratch::new(),
-    )
+    search_walk(problem, filter, order, None, deadline, sink, stats, scratch)
 }
 
-/// [`search_prebuilt`] with a caller-held [`SearchScratch`]. With both
-/// the filter and the scratch reused, a repeated search allocates
-/// nothing at all (see the `scratch_reuse` series of
-/// `benches/abl_filter_layout.rs`).
+/// [`search`] with an optional RNG that shuffles every frame's
+/// candidates — the random walk of RWB (`rwb::search`).
 #[allow(clippy::too_many_arguments)]
-pub fn search_prebuilt_with_scratch(
+pub(crate) fn search_walk(
     problem: &Problem<'_>,
     filter: &FilterMatrix,
     order: NodeOrder,
+    rng: Option<&mut StdRng>,
     deadline: &mut Deadline,
     sink: &mut dyn SolutionSink,
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
 ) -> SearchEnd {
     let start = std::time::Instant::now();
-    // Filter-phase size is reported even for prebuilt (and truncated)
-    // runs, so timeout rows stay comparable across harness tables.
-    stats.filter_cells = filter.cell_count() as u64;
-    if filter.truncated() {
-        stats.timed_out = true;
-        stats.elapsed = start.elapsed();
-        stats.cpu_time = stats.elapsed;
-        return SearchEnd::Timeout;
-    }
-    // Phase boundary: an already-expired deadline must not be masked by
+    // Filter-phase size is reported even for truncated builds, so
+    // timeout rows stay comparable across harness tables. An expired
+    // deadline is checked at this phase boundary so it is not masked by
     // the strided poll counter carrying over from the build phase.
-    if deadline.check_now() {
-        stats.timed_out = true;
-        stats.elapsed = start.elapsed();
-        stats.cpu_time = stats.elapsed;
-        return SearchEnd::Timeout;
-    }
-    let node_order = compute_order(problem.query, filter, order);
-    let preds = predecessors(problem.query, &node_order);
-    let end = run_dfs(
-        problem,
-        filter,
-        &node_order,
-        &preds,
-        deadline,
-        sink,
-        stats,
-        None,
-        None,
-        scratch,
-    );
+    stats.filter_cells = filter.cell_count() as u64;
+    let end = if filter.truncated() || deadline.check_now() {
+        SearchEnd::Timeout
+    } else {
+        let node_order = compute_order(problem.query, filter, order);
+        let preds = predecessors(problem.query, &node_order);
+        scratch.ensure(problem.nq(), problem.nr());
+        run_dfs_task(
+            filter,
+            &node_order,
+            &preds,
+            deadline,
+            sink,
+            stats,
+            rng,
+            0,
+            None,
+            scratch,
+            None,
+        )
+    };
     stats.timed_out |= end == SearchEnd::Timeout;
     stats.elapsed = start.elapsed();
     stats.cpu_time = stats.elapsed;
@@ -233,38 +184,6 @@ pub(crate) fn leave_prefix(scratch: &mut SearchScratch, order: &[NodeId], prefix
         scratch.assign[order[i].index()] = NodeId(u32::MAX);
         scratch.used.remove(r);
     }
-}
-
-/// The DFS core. `shuffle` randomizes candidate order at every level
-/// (RWB); `root_override` restricts the root level to the given candidates
-/// (parallel workers). All mutable traversal state lives in `scratch`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dfs(
-    problem: &Problem<'_>,
-    filter: &FilterMatrix,
-    order: &[NodeId],
-    preds: &[Vec<Pred>],
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-    shuffle: Option<&mut StdRng>,
-    root_override: Option<&[NodeId]>,
-    scratch: &mut SearchScratch,
-) -> SearchEnd {
-    scratch.ensure(problem.nq(), problem.nr());
-    run_dfs_task(
-        filter,
-        order,
-        preds,
-        deadline,
-        sink,
-        stats,
-        shuffle,
-        0,
-        root_override,
-        scratch,
-        None,
-    )
 }
 
 /// The resumable DFS core under a seeded prefix.
@@ -520,6 +439,21 @@ pub(crate) fn root_candidates(
     frame.candidates
 }
 
+/// Test shorthand for the whole pipeline: [`FilterMatrix::build`] into
+/// `stats`, then [`search`] with a fresh scratch.
+#[cfg(test)]
+pub(crate) fn build_and_search(
+    problem: &Problem<'_>,
+    order: NodeOrder,
+    deadline: &mut Deadline,
+    sink: &mut dyn SolutionSink,
+    stats: &mut SearchStats,
+) -> SearchEnd {
+    let filter = FilterMatrix::build(problem, deadline, stats).unwrap();
+    let scratch = &mut SearchScratch::new();
+    search(problem, &filter, order, deadline, sink, stats, scratch)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,14 +476,13 @@ mod tests {
         let mut sink = CollectAll::default();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let end = search(
+        let end = build_and_search(
             &p,
             NodeOrder::AscendingCandidates,
             &mut dl,
             &mut sink,
             &mut stats,
-        )
-        .unwrap();
+        );
         (sink.solutions, stats, end)
     }
 
@@ -647,7 +580,7 @@ mod tests {
         let mut sink = CollectUpTo::new(1);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let end = search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        let end = build_and_search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats);
         assert_eq!(end, SearchEnd::SinkStop);
         assert_eq!(sink.solutions.len(), 1);
     }
@@ -664,7 +597,7 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut dl = Deadline::new(Some(std::time::Duration::ZERO));
         dl.check_now();
-        let end = search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        let end = build_and_search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats);
         assert_eq!(end, SearchEnd::Timeout);
         assert!(stats.timed_out);
     }
@@ -773,7 +706,7 @@ mod tests {
                 let mut sink = CollectAll::default();
                 let mut stats = SearchStats::default();
                 let mut dl = Deadline::unlimited();
-                search(&p, ord, &mut dl, &mut sink, &mut stats).unwrap();
+                build_and_search(&p, ord, &mut dl, &mut sink, &mut stats);
                 stats.nodes_visited
             };
             asc_total += run_with(NodeOrder::AscendingCandidates);

@@ -19,7 +19,7 @@ use crate::rwb;
 use crate::scratch::EmbedScratch;
 use crate::sink::{CollectAll, CollectUpTo};
 use crate::stats::{BuildCharge, SearchStats};
-use netgraph::Network;
+use netgraph::{Network, NodeBitSet};
 use std::time::Duration;
 
 /// Which search algorithm to run.
@@ -31,7 +31,8 @@ pub enum Algorithm {
     Rwb,
     /// Lazy neighborhood search (§V-C).
     Lns,
-    /// ECF with the root level parallelized over the given thread count.
+    /// ECF with the filter build and the search spread over the given
+    /// number of work-stealing pool threads.
     ParallelEcf {
         /// Worker threads.
         threads: usize,
@@ -65,8 +66,8 @@ pub struct Options {
     /// LNS heuristics (LNS only).
     pub lns: LnsConfig,
     /// Work-stealing split policy (ParallelEcf only): the D/K knobs of
-    /// depth-bounded subtree re-splitting. The default enables stealing;
-    /// [`StealPolicy::disabled`] recovers the static root partition.
+    /// depth-bounded subtree re-splitting. [`StealPolicy::aggressive`]
+    /// splits at every depth (the determinism tests' stress setting).
     pub steal: StealPolicy,
     /// When set, the filter-based algorithms (ECF/RWB/ParallelEcf) run
     /// hierarchically: the host is coarsened into a
@@ -135,19 +136,6 @@ impl<'a> Engine<'a> {
         Self::run(&problem, options)
     }
 
-    /// [`Engine::embed`] with a caller-held [`EmbedScratch`]: repeated
-    /// embeds reuse the DFS arenas instead of re-allocating them.
-    pub fn embed_with_scratch(
-        &self,
-        query: &Network,
-        constraint: &str,
-        options: &Options,
-        scratch: &mut EmbedScratch,
-    ) -> Result<EmbedResult, ProblemError> {
-        let problem = Problem::new(query, self.host, constraint)?;
-        Self::run_with_scratch(&problem, options, scratch)
-    }
-
     /// Embed a pre-built problem (lets callers supply separate edge and
     /// node expressions via [`Problem::with_exprs`]).
     pub fn run(problem: &Problem<'_>, options: &Options) -> Result<EmbedResult, ProblemError> {
@@ -155,8 +143,8 @@ impl<'a> Engine<'a> {
     }
 
     /// [`Engine::run`] with a caller-held [`EmbedScratch`]. The filter
-    /// build runs under this call (parallelized for
-    /// [`Algorithm::ParallelEcf`]); batch callers that also want to
+    /// build runs under this call, on the scratch's worker pool for
+    /// [`Algorithm::ParallelEcf`]; batch callers that also want to
     /// amortize the *filter* across runs use [`Engine::run_prebuilt`].
     pub fn run_with_scratch(
         problem: &Problem<'_>,
@@ -167,54 +155,27 @@ impl<'a> Engine<'a> {
         let mut stats = SearchStats::default();
         let start = std::time::Instant::now();
 
-        let (mappings, end) = match options.algorithm {
-            Algorithm::Lns => {
+        let (mappings, end) = match (options.algorithm, options.hierarchy) {
+            (Algorithm::Lns, _) => {
                 Self::dispatch_lns(problem, options, &mut deadline, &mut stats, scratch)?
             }
-            _ if options.hierarchy.is_some() => {
+            (_, Some(spec)) => {
                 // Hierarchical path: coarsen, refine, then build the
                 // exact filter only inside the surviving subtrees. The
                 // construction happens under this run's deadline clock,
                 // so a budgeted caller pays for it; the service layer
                 // amortizes it through its `HierarchyCache`.
-                let spec = options.hierarchy.expect("guard checked");
                 let hier = SubstrateHierarchy::build(problem.host, &spec);
                 Self::dispatch_hier(problem, &hier, options, &mut deadline, &mut stats, scratch)?
             }
-            Algorithm::Ecf | Algorithm::Rwb => {
-                let filter = FilterMatrix::build(problem, &mut deadline, &mut stats)?;
-                Self::dispatch_prebuilt(
-                    problem,
-                    &filter,
-                    options,
-                    &mut deadline,
-                    &mut stats,
-                    scratch,
-                )
-            }
-            Algorithm::ParallelEcf { threads } => {
-                // Build-charging contract (see `stats::BuildCharge`):
-                // threads the build fan-out spawns are new, not warm.
-                let mut charge = BuildCharge::begin(scratch.parallel.pool().spawned_total());
-                let filter = FilterMatrix::build_par_pooled(
-                    problem,
-                    threads,
-                    &mut deadline,
-                    &mut stats,
-                    scratch.parallel.pool_mut(),
-                )?;
-                charge.finish_build(scratch.parallel.pool().spawned_total());
-                let out = Self::dispatch_prebuilt(
-                    problem,
-                    &filter,
-                    options,
-                    &mut deadline,
-                    &mut stats,
-                    scratch,
-                );
-                charge.settle_pool_reuse(&mut stats);
-                out
-            }
+            (_, None) => Self::build_and_dispatch(
+                problem,
+                None,
+                options,
+                &mut deadline,
+                &mut stats,
+                scratch,
+            )?,
         };
         Ok(Self::finalize(
             mappings,
@@ -226,8 +187,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Run over an already constructed filter (built with
-    /// [`FilterMatrix::build`]/[`FilterMatrix::build_par`] for the *same*
-    /// problem). This is the batch primitive: one filter build plus one
+    /// [`FilterMatrix::build`]/[`FilterMatrix::build_par_pooled`] for the
+    /// *same* problem). This is the batch primitive: one filter build plus one
     /// scratch serve any number of runs — different modes, orders, seeds
     /// or thread counts ([`Algorithm::Lns`] ignores the filter). The
     /// returned stats cover only this run; build-phase counters live with
@@ -316,33 +277,43 @@ impl<'a> Engine<'a> {
             // concretization of a pruned super-node holds a solution,
             // so an empty result here is exhaustive, not a give-up.
             Refinement::Infeasible => Ok((Vec::new(), ecf::SearchEnd::Exhausted)),
-            Refinement::Restricted(allowed) => match options.algorithm {
-                Algorithm::ParallelEcf { threads } => {
-                    let mut charge = BuildCharge::begin(scratch.parallel.pool().spawned_total());
-                    let filter = FilterMatrix::build_restricted_par_pooled(
-                        problem,
-                        &allowed,
-                        threads,
-                        deadline,
-                        stats,
-                        scratch.parallel.pool_mut(),
-                    )?;
-                    charge.finish_build(scratch.parallel.pool().spawned_total());
-                    let out = Self::dispatch_prebuilt(
-                        problem, &filter, options, deadline, stats, scratch,
-                    );
-                    charge.settle_pool_reuse(stats);
-                    Ok(out)
-                }
-                _ => {
-                    let filter =
-                        FilterMatrix::build_restricted(problem, &allowed, deadline, stats)?;
-                    Ok(Self::dispatch_prebuilt(
-                        problem, &filter, options, deadline, stats, scratch,
-                    ))
-                }
-            },
+            Refinement::Restricted(allowed) => {
+                Self::build_and_dispatch(problem, Some(&allowed), options, deadline, stats, scratch)
+            }
         }
+    }
+
+    /// Filter build (restricted to `allowed` when given) plus search for
+    /// the filter-based algorithms. The build fans out over the scratch's
+    /// pool at the [`Algorithm::ParallelEcf`] thread count; every other
+    /// algorithm builds with one thread, which scans inline.
+    fn build_and_dispatch(
+        problem: &Problem<'_>,
+        allowed: Option<&[NodeBitSet]>,
+        options: &Options,
+        deadline: &mut Deadline,
+        stats: &mut SearchStats,
+        scratch: &mut EmbedScratch,
+    ) -> Result<(Vec<Mapping>, ecf::SearchEnd), ProblemError> {
+        let threads = match options.algorithm {
+            Algorithm::ParallelEcf { threads } => threads,
+            _ => 1,
+        };
+        // Build-charging contract (see `stats::BuildCharge`): threads the
+        // build fan-out spawns are new, not warm.
+        let mut charge = BuildCharge::begin(scratch.parallel.pool().spawned_total());
+        let filter = FilterMatrix::build_par_pooled(
+            problem,
+            allowed,
+            threads,
+            deadline,
+            stats,
+            scratch.parallel.pool_mut(),
+        )?;
+        charge.finish_build(scratch.parallel.pool().spawned_total());
+        let out = Self::dispatch_prebuilt(problem, &filter, options, deadline, stats, scratch);
+        charge.settle_pool_reuse(stats);
+        Ok(out)
     }
 
     /// Shared run finalization: authoritative wall clock, the
@@ -380,7 +351,7 @@ impl<'a> Engine<'a> {
             Algorithm::Ecf => match options.mode {
                 SearchMode::All => {
                     let mut sink = CollectAll::default();
-                    let end = ecf::search_prebuilt_with_scratch(
+                    let end = ecf::search(
                         problem,
                         filter,
                         options.order,
@@ -397,7 +368,7 @@ impl<'a> Engine<'a> {
                         _ => 1,
                     };
                     let mut sink = CollectUpTo::new(k);
-                    let end = ecf::search_prebuilt_with_scratch(
+                    let end = ecf::search(
                         problem,
                         filter,
                         options.order,
@@ -416,7 +387,7 @@ impl<'a> Engine<'a> {
                     SearchMode::UpTo(k) => k,
                 };
                 let mut sink = CollectUpTo::new(limit);
-                let end = rwb::search_prebuilt(
+                let end = rwb::search(
                     problem,
                     filter,
                     options.seed,
@@ -434,7 +405,7 @@ impl<'a> Engine<'a> {
                     SearchMode::First => Some(1),
                     SearchMode::UpTo(k) => Some(k),
                 };
-                parallel::search_prebuilt_with_policy(
+                parallel::search(
                     problem,
                     filter,
                     threads,
@@ -461,7 +432,7 @@ impl<'a> Engine<'a> {
         Ok(match options.mode {
             SearchMode::All => {
                 let mut sink = CollectAll::default();
-                let end = lns::search_with_scratch(
+                let end = lns::search(
                     problem,
                     &options.lns,
                     deadline,
@@ -477,7 +448,7 @@ impl<'a> Engine<'a> {
                     _ => 1,
                 };
                 let mut sink = CollectUpTo::new(k);
-                let end = lns::search_with_scratch(
+                let end = lns::search(
                     problem,
                     &options.lns,
                     deadline,
@@ -608,19 +579,15 @@ mod tests {
         q.add_edge(a, b);
         q.add_edge(b, c);
         q.add_edge(a, c);
-        let engine = Engine::new(&h);
         let opts = Options {
             algorithm: Algorithm::ParallelEcf { threads: 4 },
             ..Options::default()
         };
+        let p = Problem::new(&q, &h, "true").unwrap();
         let mut scratch = EmbedScratch::new();
-        let cold = engine
-            .embed_with_scratch(&q, "true", &opts, &mut scratch)
-            .unwrap();
+        let cold = Engine::run_with_scratch(&p, &opts, &mut scratch).unwrap();
         assert_eq!(cold.stats.pool_reuse, 0, "cold run must report no reuse");
-        let warm = engine
-            .embed_with_scratch(&q, "true", &opts, &mut scratch)
-            .unwrap();
+        let warm = Engine::run_with_scratch(&p, &opts, &mut scratch).unwrap();
         assert!(warm.stats.pool_reuse > 0, "second run must reuse the pool");
         assert_eq!(cold.mappings.len(), warm.mappings.len());
     }
@@ -639,31 +606,15 @@ mod tests {
         let c = q.add_node("c");
         q.add_edge(a, b);
         q.add_edge(b, c);
-        let engine = Engine::new(&h);
+        let p = Problem::new(&q, &h, "true").unwrap();
+        let parallel = |threads| Options {
+            algorithm: Algorithm::ParallelEcf { threads },
+            ..Options::default()
+        };
         let mut scratch = EmbedScratch::new();
-        engine
-            .embed_with_scratch(
-                &q,
-                "true",
-                &Options {
-                    algorithm: Algorithm::ParallelEcf { threads: 2 },
-                    ..Options::default()
-                },
-                &mut scratch,
-            )
-            .unwrap();
+        Engine::run_with_scratch(&p, &parallel(2), &mut scratch).unwrap();
         assert_eq!(scratch.parallel.pool().thread_count(), 2);
-        let grown = engine
-            .embed_with_scratch(
-                &q,
-                "true",
-                &Options {
-                    algorithm: Algorithm::ParallelEcf { threads: 4 },
-                    ..Options::default()
-                },
-                &mut scratch,
-            )
-            .unwrap();
+        let grown = Engine::run_with_scratch(&p, &parallel(4), &mut scratch).unwrap();
         assert_eq!(
             grown.stats.pool_reuse, 2,
             "the two pre-existing threads served this run"

@@ -48,19 +48,22 @@
 //!
 //! The evaluation scan is embarrassingly parallel over *query edges*:
 //! distinct query edges populate distinct `(vj, vi)` pair slots, so their
-//! cell rows are disjoint by construction. [`FilterMatrix::build_par`]
+//! cell rows are disjoint by construction. [`FilterMatrix::build_par_pooled`]
 //! exploits that: the pair-slot tables are fixed up front (in query-edge
 //! order, before any evaluation), the query-edge list is split into
-//! contiguous chunks — one scan worker each — and every worker streams
-//! `(cell row, candidate)` hits into thread-local buffers. The stitch
-//! concatenates the chunk outputs in chunk order, which reproduces the
-//! sequential scan's hit stream *exactly*, and the deterministic
-//! counting-sort pass then lays out the same CSR arena — the parallel
-//! build is bitwise-identical to [`FilterMatrix::build`] (verified by
-//! `tests/prop_layout.rs` via the `PartialEq` impl, which compares the
-//! raw slot/offset/arena/bitset storage). Per-worker eval counters sum to
-//! the sequential total, and base candidate sets are OR-merged (bitwise
-//! OR commutes, so worker order cannot matter).
+//! contiguous chunks — one job each on a caller-held
+//! [`WorkerPool`] — and every job streams `(cell row, candidate)` hits
+//! into its own buffers. The stitch concatenates the chunk outputs in
+//! chunk order, which reproduces the sequential scan's hit stream
+//! *exactly*, and the deterministic counting-sort pass then lays out the
+//! same CSR arena — the pooled build is bitwise-identical to
+//! [`FilterMatrix::build`] (verified by `tests/prop_layout.rs` via the
+//! `PartialEq` impl, which compares the raw slot/offset/arena/bitset
+//! storage). Per-job eval counters sum to the sequential total, and base
+//! candidate sets are OR-merged (bitwise OR commutes, so job order cannot
+//! matter). It is the only builder: a one-thread build scans inline and
+//! never touches the pool, so [`FilterMatrix::build`] and
+//! [`FilterMatrix::build_restricted`] are one-thread calls of it.
 //!
 //! The seed's `FxHashMap`-keyed implementation survives as
 //! [`reference::HashFilterMatrix`] for the `abl_filter_layout` ablation
@@ -68,6 +71,7 @@
 //! (`tests/prop_layout.rs`).
 
 use crate::deadline::Deadline;
+use crate::pool::WorkerPool;
 use crate::problem::{Problem, ProblemError};
 use crate::stats::SearchStats;
 use netgraph::{EdgeRef, NodeBitSet, NodeId};
@@ -445,7 +449,7 @@ impl CellTable {
 /// `PartialEq` compares the raw CSR storage of both cell tables plus the
 /// base sets — equality means the two matrices are laid out
 /// bitwise-identically, the property `tests/prop_layout.rs` asserts for
-/// [`FilterMatrix::build`] vs [`FilterMatrix::build_par`].
+/// [`FilterMatrix::build`] vs [`FilterMatrix::build_par_pooled`].
 #[derive(Clone, PartialEq)]
 pub struct FilterMatrix {
     /// `fwd[(vj, rj, vi)]`: candidates for `vi` via query edge `vj → vi`
@@ -617,7 +621,7 @@ impl FilterMatrix {
         deadline: &mut Deadline,
         stats: &mut SearchStats,
     ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(problem, 1, deadline, stats, None, None)
+        Self::build_par_pooled(problem, None, 1, deadline, stats, &mut WorkerPool::new())
     }
 
     /// [`FilterMatrix::build`] restricted to per-query-node host
@@ -635,70 +639,33 @@ impl FilterMatrix {
         deadline: &mut Deadline,
         stats: &mut SearchStats,
     ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(problem, 1, deadline, stats, None, Some(allowed))
-    }
-
-    /// [`FilterMatrix::build_restricted`] with the scan fanned out over
-    /// a caller-held persistent [`WorkerPool`](crate::pool::WorkerPool),
-    /// mirroring [`FilterMatrix::build_par_pooled`].
-    pub fn build_restricted_par_pooled(
-        problem: &Problem<'_>,
-        allowed: &[NodeBitSet],
-        threads: usize,
-        deadline: &mut Deadline,
-        stats: &mut SearchStats,
-        pool: &mut crate::pool::WorkerPool,
-    ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(
+        Self::build_par_pooled(
             problem,
-            threads.max(1),
+            Some(allowed),
+            1,
             deadline,
             stats,
-            Some(pool),
-            Some(allowed),
+            &mut WorkerPool::new(),
         )
     }
 
-    /// [`FilterMatrix::build`] with the evaluation scan parallelized over
-    /// `threads` scoped worker threads (contiguous query-edge chunks, one
-    /// worker each). Produces a matrix bitwise-identical to the
-    /// sequential build — same CSR layout, same eval counters, same base
-    /// sets — because the chunk outputs are stitched in chunk order and
-    /// the counting-sort pass is deterministic. `threads <= 1`, or a
-    /// query with a single edge, falls back to the sequential scan.
-    pub fn build_par(
-        problem: &Problem<'_>,
-        threads: usize,
-        deadline: &mut Deadline,
-        stats: &mut SearchStats,
-    ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(problem, threads.max(1), deadline, stats, None, None)
-    }
-
-    /// [`FilterMatrix::build_par`], but the chunk scan runs on a
-    /// caller-held persistent [`WorkerPool`](crate::pool::WorkerPool)
-    /// instead of a fresh thread scope — the spawn-free path for
-    /// long-lived callers (the engine routes
-    /// [`Algorithm::ParallelEcf`](crate::Algorithm) builds here through
-    /// the [`ParallelScratch`](crate::ParallelScratch) pool). Output is
-    /// bitwise-identical to the sequential and scoped builds.
+    /// The filter builder: [`FilterMatrix::build`] (or, with `allowed`,
+    /// [`FilterMatrix::build_restricted`]) with the evaluation scan
+    /// split into up to `threads` contiguous query-edge chunks, each run
+    /// as one job on the caller-held `pool` — threads parked there
+    /// between calls serve the next build without a spawn. Produces a
+    /// matrix bitwise-identical to the one-thread build — same CSR
+    /// layout, same eval counters, same base sets — because the chunk
+    /// outputs are stitched in chunk order and the counting-sort pass is
+    /// deterministic. `threads <= 1`, or a query with a single edge,
+    /// scans inline on the calling thread and never touches the pool.
     pub fn build_par_pooled(
         problem: &Problem<'_>,
-        threads: usize,
-        deadline: &mut Deadline,
-        stats: &mut SearchStats,
-        pool: &mut crate::pool::WorkerPool,
-    ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(problem, threads.max(1), deadline, stats, Some(pool), None)
-    }
-
-    fn build_impl(
-        problem: &Problem<'_>,
-        threads: usize,
-        deadline: &mut Deadline,
-        stats: &mut SearchStats,
-        pool: Option<&mut crate::pool::WorkerPool>,
         allowed: Option<&[NodeBitSet]>,
+        threads: usize,
+        deadline: &mut Deadline,
+        stats: &mut SearchStats,
+        pool: &mut WorkerPool,
     ) -> Result<FilterMatrix, ProblemError> {
         let nq = problem.nq();
         let nr = problem.nr();
@@ -737,18 +704,15 @@ impl FilterMatrix {
         }
 
         // The evaluation scan: one chunk inline, or `workers` contiguous
-        // chunks fanned out over scoped threads. Each worker polls its own
-        // clone of the deadline (shared cancel flag, shared clock).
+        // chunks fanned out over the pool. Each job polls its own clone
+        // of the deadline (shared cancel flag, shared clock).
         let qedges: Vec<EdgeRef> = problem.query.edge_refs().collect();
         let workers = threads.min(qedges.len()).max(1);
         let outs: Vec<Result<ScanOut, ProblemError>> = if workers <= 1 {
             vec![scan_query_edges(
                 problem, &qedges, &node_pass, &fwd_slots, &rev_slots, deadline,
             )]
-        } else if let Some(pool) = pool {
-            // Persistent-pool fan-out: same chunks, same deterministic
-            // stitch order, but the threads were (usually) already
-            // parked waiting — no spawn/join on the warm path.
+        } else {
             let chunk = qedges.len().div_ceil(workers);
             let chunks: Vec<&[EdgeRef]> = qedges.chunks(chunk).collect();
             let mut slots: Vec<Option<Result<ScanOut, ProblemError>>> =
@@ -770,23 +734,6 @@ impl FilterMatrix {
                 .into_iter()
                 .map(|s| s.expect("pool scan job completed"))
                 .collect()
-        } else {
-            let chunk = qedges.len().div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for ch in qedges.chunks(chunk) {
-                    let mut dl = deadline.clone();
-                    let (node_pass, fwd_slots, rev_slots) = (&node_pass, &fwd_slots, &rev_slots);
-                    handles.push(scope.spawn(move |_| {
-                        scan_query_edges(problem, ch, node_pass, fwd_slots, rev_slots, &mut dl)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
-                    .collect()
-            })
-            .expect("scope failure")
         };
 
         // Deterministic stitch: chunk outputs in chunk order reproduce
@@ -1369,6 +1316,16 @@ mod tests {
         (f, s)
     }
 
+    /// [`FilterMatrix::build_par_pooled`] over a fresh pool.
+    fn build_pooled(
+        p: &Problem<'_>,
+        threads: usize,
+        d: &mut Deadline,
+        s: &mut SearchStats,
+    ) -> Result<FilterMatrix, ProblemError> {
+        FilterMatrix::build_par_pooled(p, None, threads, d, s, &mut WorkerPool::new())
+    }
+
     #[test]
     fn both_orientations_recorded_for_undirected() {
         let (q, h) = fixture();
@@ -1532,9 +1489,9 @@ mod tests {
         assert!(no_pair.slice.is_empty() && no_pair.bits.is_none());
     }
 
-    #[test]
-    fn parallel_build_is_bitwise_identical() {
-        // A multi-edge query so the scan actually chunks.
+    /// A 4-ring query (several edges, so the scan actually chunks) over
+    /// an 8-clique host with varied delays.
+    fn ring_over_clique() -> (Network, Network) {
         let mut q = Network::new(Direction::Undirected);
         let qs: Vec<NodeId> = (0..4).map(|i| q.add_node(format!("q{i}"))).collect();
         for i in 0..4 {
@@ -1548,6 +1505,12 @@ mod tests {
                 h.set_edge_attr(e, "d", ((i * 5 + j) % 30) as f64);
             }
         }
+        (q, h)
+    }
+
+    #[test]
+    fn parallel_build_is_bitwise_identical() {
+        let (q, h) = ring_over_clique();
         let p = Problem::new(&q, &h, "rEdge.d <= 20.0").unwrap();
         let mut d = Deadline::unlimited();
         let mut s_seq = SearchStats::default();
@@ -1555,7 +1518,7 @@ mod tests {
         for threads in [2, 3, 4, 16] {
             let mut d = Deadline::unlimited();
             let mut s_par = SearchStats::default();
-            let par = FilterMatrix::build_par(&p, threads, &mut d, &mut s_par).unwrap();
+            let par = build_pooled(&p, threads, &mut d, &mut s_par).unwrap();
             assert!(seq == par, "layout diverges at {threads} threads");
             assert_eq!(s_seq.constraint_evals, s_par.constraint_evals);
             assert_eq!(s_seq.filter_cells, s_par.filter_cells);
@@ -1570,7 +1533,7 @@ mod tests {
         let mut d = Deadline::unlimited();
         let (mut s1, mut s2) = (SearchStats::default(), SearchStats::default());
         let seq = FilterMatrix::build(&p, &mut d, &mut s1).unwrap();
-        let par = FilterMatrix::build_par(&p, 8, &mut d, &mut s2).unwrap();
+        let par = build_pooled(&p, 8, &mut d, &mut s2).unwrap();
         assert!(seq == par);
         assert_eq!(s1.constraint_evals, s2.constraint_evals);
     }
@@ -1595,7 +1558,7 @@ mod tests {
         let mut d = Deadline::unlimited();
         let (mut s1, mut s2) = (SearchStats::default(), SearchStats::default());
         let seq = FilterMatrix::build(&p, &mut d, &mut s1).unwrap();
-        let par = FilterMatrix::build_par(&p, 3, &mut d, &mut s2).unwrap();
+        let par = build_pooled(&p, 3, &mut d, &mut s2).unwrap();
         assert!(seq == par);
         assert_eq!(s1.constraint_evals, s2.constraint_evals);
     }
@@ -1619,7 +1582,7 @@ mod tests {
         let mut d = Deadline::unlimited();
         let mut s = SearchStats::default();
         assert!(matches!(
-            FilterMatrix::build_par(&p, 3, &mut d, &mut s),
+            build_pooled(&p, 3, &mut d, &mut s),
             Err(ProblemError::Eval(_))
         ));
     }
@@ -1630,11 +1593,66 @@ mod tests {
         let p = Problem::new(&q, &h, "rEdge.d < 10.0").unwrap();
         let mut d = Deadline::new(Some(std::time::Duration::ZERO));
         let mut s = SearchStats::default();
-        let f = FilterMatrix::build_par(&p, 4, &mut d, &mut s).unwrap();
+        let f = build_pooled(&p, 4, &mut d, &mut s).unwrap();
         assert!(f.truncated());
         assert_eq!(f.cell_count(), 0);
         assert_eq!(s.constraint_evals, 0, "no evaluation before the check");
         assert_eq!(s.filter_cells, 0);
+    }
+
+    #[test]
+    fn one_thread_pooled_build_is_inline() {
+        // One thread scans on the caller: the pool stays empty and the
+        // matrix is the sequential build's.
+        let (q, h) = ring_over_clique();
+        let p = Problem::new(&q, &h, "rEdge.d <= 20.0").unwrap();
+        let mut d = Deadline::unlimited();
+        let (mut s1, mut s2) = (SearchStats::default(), SearchStats::default());
+        let seq = FilterMatrix::build(&p, &mut d, &mut s1).unwrap();
+        let mut pool = WorkerPool::new();
+        let one = FilterMatrix::build_par_pooled(&p, None, 1, &mut d, &mut s2, &mut pool).unwrap();
+        assert_eq!(pool.spawned_total(), 0, "a one-thread build spawned");
+        assert!(one == seq);
+        assert_eq!(s1.constraint_evals, s2.constraint_evals);
+    }
+
+    #[test]
+    fn restricted_pooled_build_is_bitwise_identical() {
+        // Allow every other host node per query node: the restricted scan
+        // must chunk exactly like the sequential restricted build.
+        let (q, h) = ring_over_clique();
+        let p = Problem::new(&q, &h, "rEdge.d <= 20.0").unwrap();
+        let allowed: Vec<NodeBitSet> = q
+            .node_ids()
+            .map(|v| {
+                NodeBitSet::from_iter(
+                    h.node_count(),
+                    h.node_ids().filter(|r| (r.index() + v.index()) % 2 == 0),
+                )
+            })
+            .collect();
+        let mut d = Deadline::unlimited();
+        let mut s_seq = SearchStats::default();
+        let seq = FilterMatrix::build_restricted(&p, &allowed, &mut d, &mut s_seq).unwrap();
+        assert!(seq.cell_count() > 0, "restriction left nothing to compare");
+        let mut pool = WorkerPool::new();
+        for threads in [2, 3, 4] {
+            let mut s_par = SearchStats::default();
+            let par = FilterMatrix::build_par_pooled(
+                &p,
+                Some(&allowed),
+                threads,
+                &mut d,
+                &mut s_par,
+                &mut pool,
+            )
+            .unwrap();
+            assert!(
+                seq == par,
+                "restricted layout diverges at {threads} threads"
+            );
+            assert_eq!(s_seq.constraint_evals, s_par.constraint_evals);
+        }
     }
 
     /// Patch `f` (built against the pre-mutation host) with `dirty`

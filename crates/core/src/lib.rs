@@ -19,8 +19,9 @@
 //!   with no hashing, and dense cells carry bitset mirrors that the DFS
 //!   intersects word-by-word into per-depth reusable scratch masks
 //!   (zero allocation on the hot path). Construction itself parallelizes
-//!   over query edges ([`FilterMatrix::build_par`]) with a
-//!   bitwise-identical result. See [`filter`] for the layout and
+//!   over query edges on a persistent worker pool
+//!   ([`FilterMatrix::build_par_pooled`]) with a bitwise-identical
+//!   result. See [`filter`] for the layout and
 //!   `benches/abl_filter_layout.rs` for the hashmap-vs-CSR ablation.
 //! * [`rwb`] — **Random Walk with Backtracking**: the same filters, but
 //!   candidates are tried in random order and the search stops at the first
@@ -29,24 +30,26 @@
 //!   (worst-case filter space is O(n⁵), §V-C); instead grows a covered set
 //!   from a maximum-degree seed, always extending by the neighbor with the
 //!   most links into the covered set and checking connecting edges lazily.
-//! * [`parallel`] — a parallel ECF that fans the root level of the
-//!   permutation tree out over a thread pool (the paper's "distributed
-//!   implementation" direction, §VIII), building the filter with the same
-//!   thread budget.
+//! * [`parallel`] — a parallel ECF that schedules subtrees of the
+//!   permutation tree over a work-stealing thread pool (the paper's
+//!   "distributed implementation" direction, §VIII); the engine builds
+//!   its filter on the same pool with the same thread budget.
 //!
 //! ## Batching and scratch reuse
 //!
-//! Every search's mutable state (per-depth DFS frames, assignment array,
-//! used-node mask, LNS buffers) lives in a caller-held
-//! [`scratch::SearchScratch`], so services embedding thousands of queries
-//! allocate the arenas once. Each algorithm exposes `*_with_scratch`
-//! variants plus `*_prebuilt` entry points that additionally reuse one
-//! [`FilterMatrix`] across runs; [`Engine::run_prebuilt`] combines both,
-//! and the `service` crate's `submit_batch` is the end-to-end batch path.
-//! For the parallel search, [`scratch::ParallelScratch`] keeps one
-//! scratch per worker plus a persistent [`pool::WorkerPool`]: the worker
-//! threads park between calls instead of being re-spawned per search, so
-//! a warm caller's parallel runs (and pooled filter builds,
+//! Each algorithm module has one entry point, `search`. It takes the
+//! caller's scratch and, except LNS, a prebuilt [`FilterMatrix`], so one
+//! filter build serves any number of searches. Every search's mutable
+//! state (per-depth DFS frames, assignment array, used-node mask, LNS
+//! buffers) lives in a caller-held [`scratch::SearchScratch`], so
+//! services embedding thousands of queries allocate the arenas once.
+//! [`Engine`] is the code that pairs a filter build with a search:
+//! [`Engine::run`] builds and searches, [`Engine::run_prebuilt`] reuses a
+//! filter, and the `service` crate's `submit_batch` is the end-to-end
+//! batch path. For the parallel search, [`scratch::ParallelScratch`]
+//! keeps one scratch per worker plus a persistent [`pool::WorkerPool`]:
+//! the worker threads park between calls instead of being re-spawned per
+//! search, so a warm caller's parallel runs (and their filter builds,
 //! [`FilterMatrix::build_par_pooled`]) are spawn-free —
 //! [`SearchStats::pool_reuse`] reports how many warm threads a run
 //! found.

@@ -48,29 +48,11 @@ impl Default for LnsConfig {
     }
 }
 
-/// Run LNS, streaming feasible embeddings into `sink`.
+/// Run LNS, streaming feasible embeddings into `sink`. The per-depth
+/// candidate buffers, anchor list, dedup mask and memo-cache capacity
+/// live in the caller's `scratch` and are reused across searches (the
+/// memo *contents* are cleared — they are problem-specific).
 pub fn search(
-    problem: &Problem<'_>,
-    config: &LnsConfig,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-) -> Result<SearchEnd, ProblemError> {
-    search_with_scratch(
-        problem,
-        config,
-        deadline,
-        sink,
-        stats,
-        &mut SearchScratch::new(),
-    )
-}
-
-/// [`search`] with a caller-held [`SearchScratch`]: the per-depth
-/// candidate buffers, anchor list, dedup mask and memo-cache capacity are
-/// reused across searches (the memo *contents* are cleared — they are
-/// problem-specific).
-pub fn search_with_scratch(
     problem: &Problem<'_>,
     config: &LnsConfig,
     deadline: &mut Deadline,
@@ -385,7 +367,15 @@ mod tests {
         let mut sink = CollectAll::default();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        search(&p, &LnsConfig::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        search(
+            &p,
+            &LnsConfig::default(),
+            &mut dl,
+            &mut sink,
+            &mut stats,
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
         for m in &sink.solutions {
             check_mapping(&p, m).unwrap();
         }
@@ -451,7 +441,15 @@ mod tests {
         let mut sink = CollectAll::default();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let end = search(&p, &LnsConfig::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        let end = search(
+            &p,
+            &LnsConfig::default(),
+            &mut dl,
+            &mut sink,
+            &mut stats,
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
         assert_eq!(end, SearchEnd::Exhausted);
         assert!(sink.solutions.is_empty());
     }
@@ -464,7 +462,15 @@ mod tests {
         let mut sink = CollectUpTo::new(1);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let end = search(&p, &LnsConfig::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        let end = search(
+            &p,
+            &LnsConfig::default(),
+            &mut dl,
+            &mut sink,
+            &mut stats,
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
         assert_eq!(end, SearchEnd::Exhausted);
         assert!(sink.solutions.is_empty());
 
@@ -483,6 +489,7 @@ mod tests {
             &mut dl2,
             &mut sink2,
             &mut stats2,
+            &mut SearchScratch::new(),
         )
         .unwrap();
         assert_eq!(end2, SearchEnd::SinkStop);
@@ -509,7 +516,8 @@ mod tests {
                 memo_cache: memo,
                 ..LnsConfig::default()
             };
-            search(&p, &cfg, &mut dl, &mut sink, &mut stats).unwrap();
+            let scratch = &mut SearchScratch::new();
+            search(&p, &cfg, &mut dl, &mut sink, &mut stats, scratch).unwrap();
             (sink.solutions, stats.constraint_evals)
         };
         let (with_memo, evals_memo) = run(true);

@@ -1,12 +1,11 @@
 //! Work-stealing parallel ECF: dynamic subtree scheduling over threads.
 //!
 //! The paper notes (§III, §VIII) that the NETEMBED service can be
-//! replicated and ultimately distributed. Within one machine the first
-//! cut parallelized the *root level* of the permutation tree with a
-//! static strided partition; that leaves every other worker idle the
-//! moment one hub node's subtree dominates the instance. This module
-//! replaces the static partition with a work-stealing scheduler built
-//! from three pieces:
+//! replicated and ultimately distributed. Within one machine, a static
+//! partition of the permutation tree's *root level* would leave every
+//! other worker idle the moment one hub node's subtree dominates the
+//! instance, so this module schedules subtrees with a work-stealing
+//! scheduler built from four pieces:
 //!
 //! * **Subtree tasks.** A `SubtreeTask` is `(prefix, candidates)`: a
 //!   partial assignment for the first `prefix.len()` order positions
@@ -57,13 +56,13 @@
 //! workers; no range is duplicated or dropped. The enumerated solution
 //! *set* (and the per-run totals of `nodes_visited`/`prunes`) is
 //! therefore identical to the sequential DFS for complete runs — only
-//! the emission *order* depends on thread scheduling, exactly like the
-//! old root partition. `stats.tasks_spawned`/`tasks_stolen` expose how
-//! much re-splitting actually happened.
+//! the emission *order* depends on thread scheduling.
+//! `stats.tasks_spawned`/`tasks_stolen` expose how much re-splitting
+//! actually happened.
 //!
-//! The filter build is parallelized too ([`FilterMatrix::build_par`] —
-//! disjoint cell rows per query edge), so both stages use the thread
-//! budget.
+//! [`search`] takes a prebuilt filter. The engine builds it with
+//! [`FilterMatrix::build_par_pooled`] on the same pool — disjoint cell
+//! rows per query edge — so both stages use the thread budget.
 //!
 //! ## Deadline and stats discipline
 //!
@@ -86,7 +85,7 @@ use crate::ecf::{
 use crate::filter::FilterMatrix;
 use crate::mapping::Mapping;
 use crate::order::{compute_order, predecessors, NodeOrder};
-use crate::problem::{Problem, ProblemError};
+use crate::problem::Problem;
 use crate::scratch::ParallelScratch;
 use crate::sink::{SinkControl, SolutionSink};
 use crate::stats::SearchStats;
@@ -118,18 +117,6 @@ impl StealPolicy {
     /// Default K: don't ship fewer than this many candidates.
     pub const DEFAULT_MIN_TAIL: usize = 2;
 
-    /// Splitting disabled: the scheduler degenerates to the static
-    /// strided root partition (each worker runs its seed task alone).
-    /// This is the comparator the `search_steal` bench series measures
-    /// its overhead against, and the right choice when the caller knows
-    /// subtree sizes are uniform.
-    pub fn disabled() -> Self {
-        StealPolicy {
-            split_depth: 0,
-            min_tail: usize::MAX,
-        }
-    }
-
     /// Split at every depth for any tail of ≥ 2: maximal task churn.
     /// Used by the determinism property tests to stress the scheduler;
     /// rarely what production wants.
@@ -138,11 +125,6 @@ impl StealPolicy {
             split_depth: usize::MAX,
             min_tail: 2,
         }
-    }
-
-    /// True when this policy can never publish a task.
-    fn never_splits(&self) -> bool {
-        self.min_tail == usize::MAX
     }
 }
 
@@ -222,94 +204,19 @@ impl TaskSplitter for WorkerSplitter<'_> {
     }
 }
 
-/// Parallel all-matches / up-to-k search.
+/// Parallel all-matches / up-to-k ECF over a filter built for this
+/// problem, on `threads` workers of the caller's [`ParallelScratch`]
+/// pool under the split `policy`.
 ///
 /// `limit = None` enumerates everything; `Some(k)` stops all workers as
 /// soon as `k` solutions have been found globally (the merged result is
 /// truncated to `k`; *which* k solutions are returned depends on thread
 /// scheduling, exactly like the paper's timeout-based partial results).
+/// A reused scratch keeps its parked threads and per-worker arenas, so
+/// repeated searches allocate nothing beyond their result vectors and
+/// the (rare) published tasks. `stats.elapsed` covers only this call.
+#[allow(clippy::too_many_arguments)]
 pub fn search(
-    problem: &Problem<'_>,
-    threads: usize,
-    limit: Option<usize>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    stats: &mut SearchStats,
-) -> Result<(Vec<Mapping>, SearchEnd), ProblemError> {
-    search_with_scratch(
-        problem,
-        threads,
-        limit,
-        order,
-        deadline,
-        stats,
-        &mut ParallelScratch::new(),
-    )
-}
-
-/// [`search`] with caller-held per-worker scratches: a long-lived caller
-/// (the service batch path) pays each worker's DFS-arena setup once.
-#[allow(clippy::too_many_arguments)]
-pub fn search_with_scratch(
-    problem: &Problem<'_>,
-    threads: usize,
-    limit: Option<usize>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    stats: &mut SearchStats,
-    scratch: &mut ParallelScratch,
-) -> Result<(Vec<Mapping>, SearchEnd), ProblemError> {
-    assert!(threads >= 1, "need at least one thread");
-    let start = std::time::Instant::now();
-    // Build-charging contract (see [`crate::BuildCharge`]): `pool_reuse`
-    // must only credit threads that predate this *run*, so exactly the
-    // build-phase spawns are deducted once the search has counted its
-    // warm threads.
-    let mut charge = crate::BuildCharge::begin(scratch.pool().spawned_total());
-    let filter =
-        FilterMatrix::build_par_pooled(problem, threads, deadline, stats, scratch.pool_mut())?;
-    charge.finish_build(scratch.pool().spawned_total());
-    let (merged, end) = search_prebuilt(
-        problem, &filter, threads, limit, order, deadline, stats, scratch,
-    );
-    charge.settle_pool_reuse(stats);
-    // Authoritative wall clock for the whole run (build + search).
-    stats.elapsed = start.elapsed();
-    Ok((merged, end))
-}
-
-/// The parallel second stage over an already constructed filter, under
-/// the default [`StealPolicy`]. Filter reuse across calls composes with
-/// scratch reuse: repeated parallel searches allocate nothing beyond
-/// their result vectors and the (rare) published tasks.
-#[allow(clippy::too_many_arguments)]
-pub fn search_prebuilt(
-    problem: &Problem<'_>,
-    filter: &FilterMatrix,
-    threads: usize,
-    limit: Option<usize>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    stats: &mut SearchStats,
-    scratch: &mut ParallelScratch,
-) -> (Vec<Mapping>, SearchEnd) {
-    search_prebuilt_with_policy(
-        problem,
-        filter,
-        threads,
-        limit,
-        order,
-        deadline,
-        stats,
-        scratch,
-        StealPolicy::default(),
-    )
-}
-
-/// [`search_prebuilt`] with an explicit split policy — the full
-/// work-stealing scheduler entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn search_prebuilt_with_policy(
     problem: &Problem<'_>,
     filter: &FilterMatrix,
     threads: usize,
@@ -341,23 +248,18 @@ pub fn search_prebuilt_with_policy(
         return (Vec::new(), SearchEnd::Exhausted);
     }
 
-    // With splitting disabled there is nothing for a rootless worker to
-    // ever do; with it enabled, extra workers beyond the root count are
-    // fed by splits — that is exactly how a single-hub instance gets
-    // parallelism the root partition could never expose. Splits can
-    // only feed as many workers as there are shallow subtrees, so bound
-    // the pool by the width of the top two tree levels (roots × the
-    // second order node's candidate count): a 64-thread request on a
-    // 4-node toy problem must not spawn 60 threads that only poll.
-    let workers = if policy.never_splits() {
-        threads.min(roots.len())
-    } else {
-        let width1 = match node_order.get(1) {
-            Some(&v) => filter.candidate_count(v).max(1),
-            None => 1,
-        };
-        threads.min(roots.len().saturating_mul(width1))
+    // Extra workers beyond the root count are fed by splits — that is
+    // exactly how a single-hub instance gets parallelism a root
+    // partition could never expose. Splits can only feed as many workers
+    // as there are shallow subtrees, so bound the pool by the width of
+    // the top two tree levels (roots × the second order node's candidate
+    // count): a 64-thread request on a 4-node toy problem must not spawn
+    // 60 threads that only poll.
+    let width1 = match node_order.get(1) {
+        Some(&v) => filter.candidate_count(v).max(1),
+        None => 1,
     };
+    let workers = threads.min(roots.len().saturating_mul(width1));
     let seeds = workers.min(roots.len());
     let found = AtomicU64::new(0);
     let limit_u64 = limit.map(|k| k as u64);
@@ -487,11 +389,6 @@ pub fn search_prebuilt_with_policy(
                     // Own deque first (depth-first locality), then go
                     // hungry: injector (split tasks), then sibling seeds.
                     let mut task = my_deque.pop().map(|t| (t, false));
-                    if task.is_none() && policy.never_splits() {
-                        // Faithful static root partition: no splits ever
-                        // exist, and seeds stay with their worker.
-                        break;
-                    }
                     if task.is_none() {
                         if !pre_registered {
                             hungry.fetch_add(1, Ordering::SeqCst);
@@ -667,8 +564,8 @@ mod tests {
     /// high-degree hub wired to `spokes` spokes that are also wired in a
     /// cycle among themselves. The hub carries `cap = 1` (spokes 0), so
     /// under the `rNode.cap >= vNode.cap` constraint the query hub has
-    /// exactly one root candidate — the single-hub worst case for a
-    /// static root partition.
+    /// exactly one root candidate: every worker but one must be fed by
+    /// splits.
     fn skewed_host(spokes: usize) -> Network {
         let mut h = Network::new(Direction::Undirected);
         let hub = h.add_node("hub");
@@ -698,8 +595,35 @@ mod tests {
         let mut sink = CollectAll::default();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        ecf::search(p, NodeOrder::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        ecf::build_and_search(p, NodeOrder::default(), &mut dl, &mut sink, &mut stats);
         (sink.solutions, stats)
+    }
+
+    /// The engine's `ParallelEcf` pipeline: build the filter on the
+    /// scratch's pool, then search under the default policy.
+    fn build_and_search(
+        p: &Problem<'_>,
+        threads: usize,
+        limit: Option<usize>,
+        dl: &mut Deadline,
+        stats: &mut SearchStats,
+        scratch: &mut ParallelScratch,
+    ) -> (Vec<Mapping>, SearchEnd) {
+        let filter =
+            FilterMatrix::build_par_pooled(p, None, threads, dl, stats, scratch.pool_mut())
+                .unwrap();
+        let order = NodeOrder::default();
+        search(
+            p,
+            &filter,
+            threads,
+            limit,
+            order,
+            dl,
+            stats,
+            scratch,
+            StealPolicy::default(),
+        )
     }
 
     fn sorted(mut v: Vec<Mapping>) -> Vec<Mapping> {
@@ -719,8 +643,14 @@ mod tests {
         // Parallel.
         let mut par_stats = SearchStats::default();
         let mut dl2 = Deadline::unlimited();
-        let (par, end) =
-            search(&p, 4, None, NodeOrder::default(), &mut dl2, &mut par_stats).unwrap();
+        let (par, end) = build_and_search(
+            &p,
+            4,
+            None,
+            &mut dl2,
+            &mut par_stats,
+            &mut ParallelScratch::new(),
+        );
         assert_eq!(end, SearchEnd::Exhausted);
 
         let par = sorted(par);
@@ -750,7 +680,7 @@ mod tests {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
             let mut scratch = ParallelScratch::new();
-            let (sols, end) = search_prebuilt_with_policy(
+            let (sols, end) = search(
                 &p,
                 &filter,
                 threads,
@@ -793,7 +723,7 @@ mod tests {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
             let mut scratch = ParallelScratch::new();
-            let (sols, end) = search_prebuilt_with_policy(
+            let (sols, end) = search(
                 &p,
                 &filter,
                 4,
@@ -822,42 +752,20 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_is_static_root_partition() {
-        let h = grid_host(7);
-        let q = ring_query(3);
-        let p = Problem::new(&q, &h, "true").unwrap();
-        let (seq, _) = run_seq(&p);
-        let mut dl = Deadline::unlimited();
-        let mut bstats = SearchStats::default();
-        let filter = FilterMatrix::build(&p, &mut dl, &mut bstats).unwrap();
-        let mut stats = SearchStats::default();
-        let mut dl = Deadline::unlimited();
-        let mut scratch = ParallelScratch::new();
-        let (sols, end) = search_prebuilt_with_policy(
-            &p,
-            &filter,
-            3,
-            None,
-            NodeOrder::default(),
-            &mut dl,
-            &mut stats,
-            &mut scratch,
-            StealPolicy::disabled(),
-        );
-        assert_eq!(end, SearchEnd::Exhausted);
-        assert_eq!(sorted(sols), sorted(seq));
-        assert_eq!(stats.tasks_spawned, 0, "disabled policy must never split");
-        assert_eq!(stats.tasks_stolen, 0);
-    }
-
-    #[test]
     fn single_thread_equals_sequential() {
         let h = grid_host(6);
         let q = ring_query(3);
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 1, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            1,
+            None,
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         assert_eq!(end, SearchEnd::Exhausted);
         // K6 hosts all 6·5·4 = 120 oriented triangles... as a ring of 3 the
         // count equals the number of ordered 3-subsets = 120.
@@ -873,8 +781,14 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) =
-            search(&p, 4, Some(5), NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            Some(5),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         assert_eq!(end, SearchEnd::SinkStop);
         assert_eq!(sols.len(), 5);
         for m in &sols {
@@ -893,8 +807,14 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) =
-            search(&p, 4, Some(3), NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            Some(3),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         assert_eq!(end, SearchEnd::SinkStop);
         assert_eq!(sols.len(), 3);
         assert!(
@@ -913,7 +833,14 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (_, end) = search(&p, 4, Some(2), NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (_, end) = build_and_search(
+            &p,
+            4,
+            Some(2),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         assert_eq!(end, SearchEnd::SinkStop);
         assert!(!dl.was_expired());
         assert!(
@@ -934,7 +861,14 @@ mod tests {
         let outer = std::time::Instant::now();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            None,
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         let wall = outer.elapsed();
         assert_eq!(end, SearchEnd::Exhausted);
         assert!(!sols.is_empty());
@@ -953,14 +887,13 @@ mod tests {
         let mut seq_sink = CollectAll::default();
         let mut seq_stats = SearchStats::default();
         let mut seq_dl = Deadline::unlimited();
-        ecf::search(
+        ecf::build_and_search(
             &p,
             NodeOrder::default(),
             &mut seq_dl,
             &mut seq_sink,
             &mut seq_stats,
-        )
-        .unwrap();
+        );
         let bound = seq_stats.elapsed * 8 + std::time::Duration::from_millis(250);
         assert!(
             stats.elapsed <= bound,
@@ -985,7 +918,14 @@ mod tests {
         };
         let mut dl = Deadline::new(Some(std::time::Duration::ZERO));
         dl.check_now();
-        let (sols, end) = search(&p, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            None,
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         assert!(sols.is_empty());
         assert_eq!(end, SearchEnd::Timeout);
         assert!(stats.timed_out);
@@ -1007,7 +947,7 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
         let mut scratch = ParallelScratch::new();
-        let (sols, end) = search_prebuilt(
+        let (sols, end) = search(
             &p,
             &filter,
             4,
@@ -1016,6 +956,7 @@ mod tests {
             &mut dl,
             &mut stats,
             &mut scratch,
+            StealPolicy::default(),
         );
         assert!(sols.is_empty());
         assert_eq!(end, SearchEnd::Timeout);
@@ -1032,16 +973,7 @@ mod tests {
         let run = |scratch: &mut ParallelScratch| {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
-            let (sols, end) = search_with_scratch(
-                &p,
-                3,
-                None,
-                NodeOrder::default(),
-                &mut dl,
-                &mut stats,
-                scratch,
-            )
-            .unwrap();
+            let (sols, end) = build_and_search(&p, 3, None, &mut dl, &mut stats, scratch);
             assert_eq!(end, SearchEnd::Exhausted);
             sorted(sols)
         };
@@ -1065,7 +997,7 @@ mod tests {
         // Cold run: the pool is empty, every worker thread is new.
         let mut cold = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (first, end) = search_prebuilt(
+        let (first, end) = search(
             &p,
             &filter,
             4,
@@ -1074,6 +1006,7 @@ mod tests {
             &mut dl,
             &mut cold,
             &mut scratch,
+            StealPolicy::default(),
         );
         assert_eq!(end, SearchEnd::Exhausted);
         assert_eq!(cold.pool_reuse, 0, "cold pool has nothing to reuse");
@@ -1084,7 +1017,7 @@ mod tests {
         for round in 0..3 {
             let mut warm = SearchStats::default();
             let mut dl = Deadline::unlimited();
-            let (again, end) = search_prebuilt(
+            let (again, end) = search(
                 &p,
                 &filter,
                 4,
@@ -1093,6 +1026,7 @@ mod tests {
                 &mut dl,
                 &mut warm,
                 &mut scratch,
+                StealPolicy::default(),
             );
             assert_eq!(end, SearchEnd::Exhausted, "round {round}");
             assert_eq!(sorted(again), sorted(first.clone()), "round {round}");
@@ -1107,23 +1041,27 @@ mod tests {
 
     #[test]
     fn pooled_build_matches_scoped_build() {
+        // The scoped-thread build is gone, so the sequential build is the
+        // reference; the name stays for the CI `parallel::` filter.
         let h = grid_host(8);
         let q = ring_query(4);
         let p = Problem::new(&q, &h, "rEdge.d <= 30.0").unwrap();
         let mut dl = Deadline::unlimited();
         let mut s1 = SearchStats::default();
-        let scoped = FilterMatrix::build_par(&p, 4, &mut dl, &mut s1).unwrap();
+        let seq = FilterMatrix::build(&p, &mut dl, &mut s1).unwrap();
         let mut pool = crate::pool::WorkerPool::new();
         let mut dl = Deadline::unlimited();
         let mut s2 = SearchStats::default();
-        let pooled = FilterMatrix::build_par_pooled(&p, 4, &mut dl, &mut s2, &mut pool).unwrap();
-        assert!(scoped == pooled, "pooled build must be bitwise-identical");
+        let pooled =
+            FilterMatrix::build_par_pooled(&p, None, 4, &mut dl, &mut s2, &mut pool).unwrap();
+        assert!(seq == pooled, "pooled build must be bitwise-identical");
         assert_eq!(s1.constraint_evals, s2.constraint_evals);
         // And a second pooled build reuses the same threads.
         let before = pool.spawned_total();
         let mut dl = Deadline::unlimited();
         let mut s3 = SearchStats::default();
-        let again = FilterMatrix::build_par_pooled(&p, 4, &mut dl, &mut s3, &mut pool).unwrap();
+        let again =
+            FilterMatrix::build_par_pooled(&p, None, 4, &mut dl, &mut s3, &mut pool).unwrap();
         assert!(again == pooled, "warm pooled build diverged");
         assert_eq!(pool.spawned_total(), before, "warm build spawned threads");
     }
@@ -1135,7 +1073,14 @@ mod tests {
         let p = Problem::new(&q, &h, "rEdge.d > 1e9").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            None,
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         assert!(sols.is_empty());
         assert_eq!(end, SearchEnd::Exhausted);
     }
@@ -1150,7 +1095,14 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, _) = search(&p, 64, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, _) = build_and_search(
+            &p,
+            64,
+            None,
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        );
         assert_eq!(sols.len(), 4 * 3 * 2);
     }
 }

@@ -1,9 +1,9 @@
 //! Persistent worker pool: threads parked between calls.
 //!
-//! Every `parallel::search*` call used to spawn its workers through a
-//! fresh `crossbeam::thread::scope`; measured on the bench box a
-//! 4-thread spawn+join costs ~65µs, which dominates sub-millisecond
-//! searches (the `skew-hub` row of `BENCH_filter.json`). A
+//! Spawning a parallel search's workers per call costs ~65µs for a
+//! 4-thread spawn+join on the bench box, which dominates
+//! sub-millisecond searches (the `pool_cold` series of
+//! `BENCH_filter.json`). A
 //! [`WorkerPool`] keeps the OS threads alive across calls — parked on a
 //! condvar between rounds — so a long-lived caller (the service layer,
 //! a batch loop, a bench harness) pays thread creation once.

@@ -7,84 +7,27 @@
 //! inherits ECF's completeness: if it returns "no solution" without timing
 //! out, no solution exists. By design it terminates as soon as the first
 //! feasible embedding is found (footnote 7 of the paper) — callers wanting
-//! several random solutions can raise `limit`.
+//! several random solutions pass a sink that collects more.
 
 use crate::deadline::Deadline;
-use crate::ecf::{run_dfs, SearchEnd};
+use crate::ecf::{search_walk, SearchEnd};
 use crate::filter::FilterMatrix;
-use crate::mapping::Mapping;
-use crate::order::{compute_order, predecessors, NodeOrder};
-use crate::problem::{Problem, ProblemError};
+use crate::order::NodeOrder;
+use crate::problem::Problem;
 use crate::scratch::SearchScratch;
-use crate::sink::{CollectUpTo, SolutionSink};
+use crate::sink::SolutionSink;
 use crate::stats::SearchStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Run RWB to find up to `limit` feasible embeddings (1 = the paper's
-/// behaviour). Returns the mappings found.
+/// The random walk over a filter built for this problem: the ECF DFS
+/// with each frame's candidates shuffled by an RNG seeded with `seed`.
+/// The `sink` decides how many embeddings to collect (one is the
+/// paper's behaviour); different seeds, sinks or deadlines can reuse
+/// one build. Truncated filters and expired deadlines are handled as in
+/// `ecf::search`.
+#[allow(clippy::too_many_arguments)]
 pub fn search(
-    problem: &Problem<'_>,
-    seed: u64,
-    limit: usize,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    stats: &mut SearchStats,
-) -> Result<(Vec<Mapping>, SearchEnd), ProblemError> {
-    let mut sink = CollectUpTo::new(limit);
-    let end = search_into(problem, seed, order, deadline, &mut sink, stats)?;
-    Ok((sink.solutions, end))
-}
-
-/// RWB with a caller-supplied sink.
-pub fn search_into(
-    problem: &Problem<'_>,
-    seed: u64,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-) -> Result<SearchEnd, ProblemError> {
-    search_into_with_scratch(
-        problem,
-        seed,
-        order,
-        deadline,
-        sink,
-        stats,
-        &mut SearchScratch::new(),
-    )
-}
-
-/// [`search_into`] with a caller-held [`SearchScratch`] — the natural
-/// shape for batch callers sampling many random embeddings (one filter
-/// build via [`search_prebuilt`], one scratch, thousands of walks).
-#[allow(clippy::too_many_arguments)]
-pub fn search_into_with_scratch(
-    problem: &Problem<'_>,
-    seed: u64,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-) -> Result<SearchEnd, ProblemError> {
-    let start = std::time::Instant::now();
-    let filter = FilterMatrix::build(problem, deadline, stats)?;
-    let end = search_prebuilt(
-        problem, &filter, seed, order, deadline, sink, stats, scratch,
-    );
-    stats.elapsed = start.elapsed();
-    stats.cpu_time = stats.elapsed;
-    Ok(end)
-}
-
-/// The random walk over an already constructed filter: different seeds
-/// (or sinks, or deadlines) can reuse one build. Mirrors
-/// `ecf::search_prebuilt_with_scratch`, including the truncated-filter
-/// and phase-boundary deadline handling.
-#[allow(clippy::too_many_arguments)]
-pub fn search_prebuilt(
     problem: &Problem<'_>,
     filter: &FilterMatrix,
     seed: u64,
@@ -94,40 +37,50 @@ pub fn search_prebuilt(
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
 ) -> SearchEnd {
-    let start = std::time::Instant::now();
-    stats.filter_cells = filter.cell_count() as u64;
-    if filter.truncated() || deadline.check_now() {
-        stats.timed_out = true;
-        stats.elapsed = start.elapsed();
-        stats.cpu_time = stats.elapsed;
-        return SearchEnd::Timeout;
-    }
-    let node_order = compute_order(problem.query, filter, order);
-    let preds = predecessors(problem.query, &node_order);
     let mut rng = StdRng::seed_from_u64(seed);
-    let end = run_dfs(
+    search_walk(
         problem,
         filter,
-        &node_order,
-        &preds,
+        order,
+        Some(&mut rng),
         deadline,
         sink,
         stats,
-        Some(&mut rng),
-        None,
         scratch,
-    );
-    stats.timed_out |= end == SearchEnd::Timeout;
-    stats.elapsed = start.elapsed();
-    stats.cpu_time = stats.elapsed;
-    end
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::Mapping;
+    use crate::sink::CollectUpTo;
     use crate::verify::check_mapping;
     use netgraph::{Direction, Network, NodeId};
+
+    /// Build the filter, then collect up to `limit` random-walk
+    /// embeddings.
+    fn walk(
+        problem: &Problem<'_>,
+        seed: u64,
+        limit: usize,
+        deadline: &mut Deadline,
+        stats: &mut SearchStats,
+    ) -> (Vec<Mapping>, SearchEnd) {
+        let filter = FilterMatrix::build(problem, deadline, stats).unwrap();
+        let mut sink = CollectUpTo::new(limit);
+        let end = search(
+            problem,
+            &filter,
+            seed,
+            NodeOrder::default(),
+            deadline,
+            &mut sink,
+            stats,
+            &mut SearchScratch::new(),
+        );
+        (sink.solutions, end)
+    }
 
     fn host_cycle(n: usize) -> Network {
         let mut h = Network::new(Direction::Undirected);
@@ -155,7 +108,7 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 42, 1, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = walk(&p, 42, 1, &mut dl, &mut stats);
         assert_eq!(sols.len(), 1);
         assert_eq!(end, crate::ecf::SearchEnd::SinkStop);
         check_mapping(&p, &sols[0]).unwrap();
@@ -170,7 +123,7 @@ mod tests {
         for seed in 0..20 {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
-            let (sols, _) = search(&p, seed, 1, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+            let (sols, _) = walk(&p, seed, 1, &mut dl, &mut stats);
             found.insert(sols[0].clone());
         }
         // With 8·2·… possible embeddings, 20 random walks should not all
@@ -185,7 +138,7 @@ mod tests {
         let p = Problem::new(&q, &h, "rEdge.d > 1e6").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 7, 1, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = walk(&p, 7, 1, &mut dl, &mut stats);
         assert!(sols.is_empty());
         // Exhausted (not timeout): a definitive "no solution".
         assert_eq!(end, crate::ecf::SearchEnd::Exhausted);
@@ -199,9 +152,7 @@ mod tests {
         let run = |seed| {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
-            search(&p, seed, 1, NodeOrder::default(), &mut dl, &mut stats)
-                .unwrap()
-                .0
+            walk(&p, seed, 1, &mut dl, &mut stats).0
         };
         assert_eq!(run(99), run(99));
     }
@@ -213,7 +164,7 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, _) = search(&p, 3, 5, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, _) = walk(&p, 3, 5, &mut dl, &mut stats);
         assert_eq!(sols.len(), 5);
         for m in &sols {
             check_mapping(&p, m).unwrap();

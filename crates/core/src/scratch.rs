@@ -31,13 +31,12 @@ use rustc_hash::FxHashMap;
 
 /// Reusable buffers for one sequential search (ECF, RWB, or LNS).
 ///
-/// Create once with [`SearchScratch::new`], then pass to the
-/// `*_with_scratch` entry points (`ecf::search_with_scratch`,
-/// `ecf::search_prebuilt_with_scratch`, `rwb::search_prebuilt`,
-/// `lns::search_with_scratch`, or `Engine::run_with_scratch`). The scratch
-/// adapts itself to each problem's dimensions; nothing about a previous
-/// search leaks into the next one (the LNS memo cache is cleared, masks
-/// and assignments reset), only the allocations survive.
+/// Create once with [`SearchScratch::new`], then pass to `ecf::search`,
+/// `rwb::search` or `lns::search` (or, inside an [`EmbedScratch`], to
+/// `Engine::run_with_scratch`). The scratch adapts itself to each
+/// problem's dimensions; nothing about a previous search leaks into the
+/// next one (the LNS memo cache is cleared, masks and assignments
+/// reset), only the allocations survive.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     /// Per-depth DFS frames (candidate vec + cursor).

@@ -154,10 +154,8 @@ impl SearchStats {
 }
 
 /// The shared accounting contract for runs that perform a filter build
-/// as a separate phase before their search — the idiom that used to be
-/// copy-pasted across `Engine::run_with_scratch`'s parallel branch,
-/// `parallel::search_with_scratch` and the service's cached-run path,
-/// now stated once:
+/// as a separate phase before their search — the engine's build-then-
+/// search path and the service's cached-run path:
 ///
 /// 1. snapshot the worker pool's lifetime spawn count **before** the
 ///    build ([`BuildCharge::begin`]);

@@ -4,9 +4,9 @@
 //! DFS over the CSR filter must enumerate exactly the solution set of the
 //! reference search — the two layouts are interchangeable up to speed.
 //!
-//! The parallel build (`FilterMatrix::build_par`) is additionally proven
-//! *bitwise-identical* to the sequential build on random problems and
-//! thread counts: `FilterMatrix`'s `PartialEq` compares the raw CSR
+//! The pooled parallel build (`FilterMatrix::build_par_pooled`) is
+//! additionally proven *bitwise-identical* to the one-thread build on
+//! random problems and thread counts: `FilterMatrix`'s `PartialEq` compares the raw CSR
 //! storage (pair slots, offset rows, candidate arena, bitset mirrors,
 //! base sets), so equality means the layouts match word for word, and a
 //! search over either filter takes exactly the same path.
@@ -21,8 +21,8 @@
 use netembed::filter::reference::{self, HashFilterMatrix};
 use netembed::order::{compute_order, predecessors};
 use netembed::{
-    parallel, CollectAll, Deadline, FilterMatrix, Mapping, NodeOrder, ParallelScratch, Problem,
-    SearchStats, StealPolicy,
+    ecf, parallel, CollectAll, Deadline, FilterMatrix, Mapping, NodeOrder, ParallelScratch,
+    Problem, SearchScratch, SearchStats, StealPolicy, WorkerPool,
 };
 use netgraph::{Direction, Network, NodeId};
 use proptest::prelude::*;
@@ -146,13 +146,22 @@ fn check_case(
     prop_assert_eq!(s_csr.filter_cells, s_ref.filter_cells);
     assert_filters_equal(&query, &host, &csr, &href)?;
 
-    // The parallel build must reproduce the sequential CSR layout
+    // The pooled build must reproduce the sequential CSR layout
     // *bitwise* (PartialEq compares the raw arena storage), along with
     // the eval accounting, at every thread count.
+    let mut pool = WorkerPool::new();
     for threads in [2usize, 3, 4] {
         let mut dl_par = Deadline::unlimited();
         let mut s_par = SearchStats::default();
-        let par = FilterMatrix::build_par(&problem, threads, &mut dl_par, &mut s_par).unwrap();
+        let par = FilterMatrix::build_par_pooled(
+            &problem,
+            None,
+            threads,
+            &mut dl_par,
+            &mut s_par,
+            &mut pool,
+        )
+        .unwrap();
         prop_assert!(
             par == csr,
             "parallel build diverges from sequential at {} threads",
@@ -170,14 +179,15 @@ fn check_case(
     let mut sink = CollectAll::default();
     let mut stats = SearchStats::default();
     let mut dl2 = Deadline::unlimited();
-    netembed::ecf::search(
+    ecf::search(
         &problem,
+        &csr,
         NodeOrder::AscendingCandidates,
         &mut dl2,
         &mut sink,
         &mut stats,
-    )
-    .unwrap();
+        &mut SearchScratch::new(),
+    );
 
     prop_assert_eq!(
         sorted_mappings(sink.solutions),
@@ -210,13 +220,14 @@ fn check_steal_case(
     let mut sink = CollectAll::default();
     let mut seq_stats = SearchStats::default();
     let mut dl_seq = Deadline::unlimited();
-    netembed::ecf::search_prebuilt(
+    ecf::search(
         &problem,
         &filter,
         NodeOrder::AscendingCandidates,
         &mut dl_seq,
         &mut sink,
         &mut seq_stats,
+        &mut SearchScratch::new(),
     );
     let seq = sorted_mappings(sink.solutions);
 
@@ -224,7 +235,7 @@ fn check_steal_case(
         let mut scratch = ParallelScratch::new();
         let mut stats = SearchStats::default();
         let mut dl_par = Deadline::unlimited();
-        let (sols, end) = parallel::search_prebuilt_with_policy(
+        let (sols, end) = parallel::search(
             &problem,
             &filter,
             threads,
@@ -235,12 +246,7 @@ fn check_steal_case(
             &mut scratch,
             StealPolicy::aggressive(),
         );
-        prop_assert_eq!(
-            end,
-            netembed::ecf::SearchEnd::Exhausted,
-            "threads {}",
-            threads
-        );
+        prop_assert_eq!(end, ecf::SearchEnd::Exhausted, "threads {}", threads);
         prop_assert_eq!(
             sorted_mappings(sols),
             seq.clone(),
@@ -264,7 +270,7 @@ fn check_steal_case(
             let k = 1 + seq.len() / 2;
             let mut limit_dl = Deadline::unlimited();
             let mut lstats = SearchStats::default();
-            let (lsols, lend) = parallel::search_prebuilt_with_policy(
+            let (lsols, lend) = parallel::search(
                 &problem,
                 &filter,
                 threads,
@@ -275,7 +281,7 @@ fn check_steal_case(
                 &mut scratch,
                 StealPolicy::aggressive(),
             );
-            prop_assert_eq!(lend, netembed::ecf::SearchEnd::SinkStop);
+            prop_assert_eq!(lend, ecf::SearchEnd::SinkStop);
             prop_assert_eq!(lsols.len(), k);
             prop_assert!(!lstats.timed_out, "limit stop misreported as timeout");
             prop_assert!(!limit_dl.check_now(), "pool cancel leaked to caller");
@@ -289,7 +295,7 @@ fn check_steal_case(
         let mut cancel_dl = Deadline::unlimited();
         cancel_dl.cancel();
         let mut cstats = SearchStats::default();
-        let (csols, cend) = parallel::search_prebuilt_with_policy(
+        let (csols, cend) = parallel::search(
             &problem,
             &filter,
             threads,
@@ -300,7 +306,7 @@ fn check_steal_case(
             &mut scratch,
             StealPolicy::aggressive(),
         );
-        prop_assert_eq!(cend, netembed::ecf::SearchEnd::Timeout);
+        prop_assert_eq!(cend, ecf::SearchEnd::Timeout);
         prop_assert!(cstats.timed_out);
         prop_assert!(csols.is_empty());
     }

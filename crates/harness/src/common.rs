@@ -14,9 +14,15 @@
 //! linearity, crossovers) are scale-invariant, which is what the paper's
 //! qualitative claims rest on.
 
-use netembed::{Algorithm, EmbedResult, Engine, Options, SearchMode};
+use netembed::lns::{self, LnsConfig};
+use netembed::sink::CountOnly;
+use netembed::{ecf, parallel, rwb};
+use netembed::{
+    Algorithm, Deadline, EmbedResult, EmbedScratch, Engine, FilterMatrix, NodeOrder, Options,
+    Problem, ProblemError, SearchMode, SearchStats, StealPolicy,
+};
 use netgraph::Network;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use topogen::{BriteParams, PlanetlabParams};
 
 /// Global experiment configuration from the CLI.
@@ -134,7 +140,8 @@ pub fn run_once(
     seed: u64,
 ) -> Sample {
     if mode == SearchMode::All {
-        return run_counting(host, query, constraint, algorithm, timeout, seed);
+        let scratch = &mut EmbedScratch::new();
+        return run_counting(host, query, constraint, algorithm, timeout, seed, scratch);
     }
     let engine = Engine::new(host);
     let options = Options {
@@ -161,7 +168,10 @@ pub fn run_once(
     }
 }
 
-/// All-matches run that streams solutions through a counting sink.
+/// All-matches run that streams solutions through a counting sink
+/// (parallel ECF collects its solutions and counts them). `Sample.ms`
+/// covers the filter build plus the search; parallel ECF runs on
+/// `scratch.parallel`'s worker pool.
 pub fn run_counting(
     host: &Network,
     query: &Network,
@@ -169,55 +179,76 @@ pub fn run_counting(
     algorithm: Algorithm,
     timeout: Duration,
     seed: u64,
+    scratch: &mut EmbedScratch,
 ) -> Sample {
-    use netembed::sink::CountOnly;
-    use netembed::{Deadline, NodeOrder, Problem, SearchStats};
-    let problem = match Problem::new(query, host, constraint) {
-        Ok(p) => p,
+    let start = Instant::now();
+    let mut stats = SearchStats::default();
+    let mut deadline = Deadline::new(Some(timeout));
+    let counted = Problem::new(query, host, constraint)
+        .and_then(|p| count(&p, algorithm, seed, &mut deadline, &mut stats, scratch));
+    match counted {
+        Ok(solutions) => Sample {
+            ms: start.elapsed().as_secs_f64() * 1e3,
+            timed_out: stats.timed_out,
+            solutions,
+        },
         Err(e) => {
             eprintln!("# error: {e}");
-            return Sample {
+            Sample {
                 ms: f64::NAN,
                 timed_out: false,
                 solutions: 0,
-            };
+            }
         }
-    };
+    }
+}
+
+/// Count the embeddings of one all-matches run, building the filter
+/// first for the filter-based algorithms.
+fn count(
+    problem: &Problem<'_>,
+    algorithm: Algorithm,
+    seed: u64,
+    deadline: &mut Deadline,
+    stats: &mut SearchStats,
+    scratch: &mut EmbedScratch,
+) -> Result<u64, ProblemError> {
+    let order = NodeOrder::default();
     let mut sink = CountOnly::default();
-    let mut stats = SearchStats::default();
-    let mut deadline = Deadline::new(Some(timeout));
-    let res = match algorithm {
-        Algorithm::Ecf | Algorithm::ParallelEcf { .. } => netembed::ecf::search(
-            &problem,
-            NodeOrder::default(),
-            &mut deadline,
-            &mut sink,
-            &mut stats,
-        ),
-        Algorithm::Rwb => netembed::rwb::search_into(
-            &problem,
-            seed,
-            NodeOrder::default(),
-            &mut deadline,
-            &mut sink,
-            &mut stats,
-        ),
-        Algorithm::Lns => netembed::lns::search(
-            &problem,
-            &netembed::lns::LnsConfig::default(),
-            &mut deadline,
-            &mut sink,
-            &mut stats,
-        ),
-    };
-    if let Err(e) = res {
-        eprintln!("# error: {e}");
+    let search = &mut scratch.search;
+    match algorithm {
+        Algorithm::Ecf => {
+            let filter = FilterMatrix::build(problem, deadline, stats)?;
+            ecf::search(problem, &filter, order, deadline, &mut sink, stats, search);
+        }
+        Algorithm::Rwb => {
+            let filter = FilterMatrix::build(problem, deadline, stats)?;
+            rwb::search(
+                problem, &filter, seed, order, deadline, &mut sink, stats, search,
+            );
+        }
+        Algorithm::Lns => {
+            let config = LnsConfig::default();
+            lns::search(problem, &config, deadline, &mut sink, stats, search)?;
+        }
+        Algorithm::ParallelEcf { threads } => {
+            let par = &mut scratch.parallel;
+            let filter = FilterMatrix::build_par_pooled(
+                problem,
+                None,
+                threads,
+                deadline,
+                stats,
+                par.pool_mut(),
+            )?;
+            let policy = StealPolicy::default();
+            let (solutions, _) = parallel::search(
+                problem, &filter, threads, None, order, deadline, stats, par, policy,
+            );
+            return Ok(solutions.len() as u64);
+        }
     }
-    Sample {
-        ms: stats.elapsed.as_secs_f64() * 1e3,
-        timed_out: stats.timed_out,
-        solutions: sink.count,
-    }
+    Ok(sink.count)
 }
 
 /// The (algorithm, label) series used by the comparison figures.
@@ -227,4 +258,30 @@ pub fn algo_series() -> Vec<(Algorithm, &'static str)> {
         (Algorithm::Rwb, "RWB"),
         (Algorithm::Lns, "LNS"),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallel_counting_runs_on_the_worker_pool() {
+        // K6 hosts 6·5·4 = 120 oriented triangles.
+        let host = topogen::regular::clique(6);
+        let query = topogen::regular::ring(3);
+        let timeout = Duration::from_secs(30);
+        let count = |algorithm, scratch: &mut EmbedScratch| {
+            run_counting(&host, &query, "true", algorithm, timeout, 0, scratch)
+        };
+        let ecf = count(Algorithm::Ecf, &mut EmbedScratch::new());
+        let mut scratch = EmbedScratch::new();
+        let par = count(Algorithm::ParallelEcf { threads: 2 }, &mut scratch);
+        assert_eq!(ecf.solutions, 120);
+        assert_eq!(par.solutions, ecf.solutions);
+        assert!(!par.timed_out);
+        assert!(
+            scratch.parallel.pool().spawned_total() > 0,
+            "parallel ECF never reached the worker pool"
+        );
+    }
 }

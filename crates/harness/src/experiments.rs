@@ -237,6 +237,7 @@ pub fn fig13(first_match: bool, cfg: &Config) {
                             alg,
                             cfg.timeout,
                             seed,
+                            &mut netembed::EmbedScratch::new(),
                         )
                     }
                 })

@@ -1446,8 +1446,12 @@ mod tests {
         // them, and stealing must not change the answer.
         let runs: Vec<Options> = vec![
             Options {
+                // Splits only at the root level.
                 algorithm: Algorithm::ParallelEcf { threads: 4 },
-                steal: StealPolicy::disabled(),
+                steal: StealPolicy {
+                    split_depth: 0,
+                    min_tail: 2,
+                },
                 ..Options::default()
             },
             Options {

@@ -22,11 +22,10 @@
 use crate::ServiceError;
 use netembed::{Engine, Mapping, Options, Outcome, SearchMode};
 use netgraph::{AttrValue, Network, NodeId};
-use std::sync::Arc;
 
 /// A host partitioned into attribute-defined regions.
 pub struct PartitionedHost {
-    full: Arc<Network>,
+    full: Network,
     regions: Vec<Region>,
 }
 
@@ -34,7 +33,7 @@ struct Region {
     /// Attribute value defining the region.
     label: String,
     /// Induced subnetwork.
-    net: Arc<Network>,
+    net: Network,
     /// Region node index → global [`NodeId`].
     origin: Vec<NodeId>,
 }
@@ -76,15 +75,11 @@ impl PartitionedHost {
             .into_iter()
             .map(|(label, members)| {
                 let (net, origin) = host.induced_subgraph(&members);
-                Region {
-                    label,
-                    net: Arc::new(net),
-                    origin,
-                }
+                Region { label, net, origin }
             })
             .collect();
         PartitionedHost {
-            full: Arc::new(host),
+            full: host,
             regions,
         }
     }
@@ -117,40 +112,34 @@ impl PartitionedHost {
         constraint: &str,
         options: &Options,
     ) -> Result<PartitionedResponse, ServiceError> {
-        // Probe regions in parallel.
-        let mut probes: Vec<Option<bool>> = vec![None; self.regions.len()];
-        crossbeam_scope(|scope: &mut Vec<std::thread::JoinHandle<(usize, bool)>>| {
-            for (i, region) in self.regions.iter().enumerate() {
-                if region.net.node_count() < query.node_count() {
-                    probes[i] = Some(false);
-                    continue;
-                }
-                let net = region.net.clone();
-                let query = query.clone();
-                let constraint = constraint.to_string();
-                let probe_options = Options {
-                    mode: SearchMode::First,
-                    ..options.clone()
-                };
-                scope.push(std::thread::spawn(move || {
-                    let engine = Engine::new(&net);
-                    let ok = engine
-                        .embed(&query, &constraint, &probe_options)
-                        .map(|r| !r.mappings.is_empty())
-                        .unwrap_or(false);
-                    (i, ok)
-                }));
-            }
-        })
-        .into_iter()
-        .for_each(|(i, ok)| probes[i] = Some(ok));
+        // Probe regions in parallel: one thread per region at least as
+        // large as the query.
+        let probe_options = &Options {
+            mode: SearchMode::First,
+            ..options.clone()
+        };
+        let probes: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .regions
+                .iter()
+                .map(|region| {
+                    (region.net.node_count() >= query.node_count()).then(|| {
+                        scope.spawn(move || {
+                            Engine::new(&region.net)
+                                .embed(query, constraint, probe_options)
+                                .is_ok_and(|r| !r.mappings.is_empty())
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.is_some_and(|h| h.join().expect("probe thread panicked")))
+                .collect()
+        });
 
         // First hosting region in partition order wins.
-        for (i, probe) in probes.iter().enumerate() {
-            if *probe != Some(true) {
-                continue;
-            }
-            let region = &self.regions[i];
+        for (region, _) in self.regions.iter().zip(probes).filter(|&(_, ok)| ok) {
             let engine = Engine::new(&region.net);
             let result = engine.embed(query, constraint, options)?;
             if result.mappings.is_empty() {
@@ -171,16 +160,6 @@ impl PartitionedHost {
             locality: Locality::Global,
         })
     }
-}
-
-/// Join-all helper (std threads; the probe fan-out is coarse-grained).
-fn crossbeam_scope<T>(fill: impl FnOnce(&mut Vec<std::thread::JoinHandle<T>>)) -> Vec<T> {
-    let mut handles = Vec::new();
-    fill(&mut handles);
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("probe thread panicked"))
-        .collect()
 }
 
 fn translate_outcome(outcome: Outcome, origin: &[NodeId]) -> Outcome {

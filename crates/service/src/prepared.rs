@@ -450,17 +450,14 @@ pub(crate) fn run_cached(
             };
             // A `?` here drops the ticket, which abandons the key so a
             // waiter can take over — builders never strand waiters.
-            let filter = Arc::new(if threads > 1 {
-                FilterMatrix::build_par_pooled(
-                    problem,
-                    threads,
-                    &mut deadline,
-                    &mut build_stats,
-                    scratch.parallel.pool_mut(),
-                )?
-            } else {
-                FilterMatrix::build(problem, &mut deadline, &mut build_stats)?
-            });
+            let filter = Arc::new(FilterMatrix::build_par_pooled(
+                problem,
+                None,
+                threads,
+                &mut deadline,
+                &mut build_stats,
+                scratch.parallel.pool_mut(),
+            )?);
             charge.finish_build(scratch.parallel.pool().spawned_total());
             if filter.truncated() {
                 ticket.abandon();

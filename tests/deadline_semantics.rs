@@ -4,8 +4,8 @@
 //! filter builds still report comparable filter-phase counters.
 
 use netembed::{
-    ecf, parallel, Algorithm, CollectAll, Deadline, Engine, NodeOrder, Options, Outcome, Problem,
-    SearchStats,
+    ecf, parallel, Algorithm, CollectAll, Deadline, Engine, FilterMatrix, Mapping, NodeOrder,
+    Options, Outcome, ParallelScratch, Problem, SearchScratch, SearchStats, StealPolicy,
 };
 use netgraph::{Direction, Network, NodeId};
 use std::time::Duration;
@@ -33,6 +33,30 @@ fn ring_query(n: usize) -> Network {
         q.add_edge(ids[i], ids[(i + 1) % n]);
     }
     q
+}
+
+/// Parallel ECF as the engine runs it: a 4-thread filter build on the
+/// scratch's pool, then the stealing search under `dl`.
+fn parallel_ecf(
+    problem: &Problem<'_>,
+    dl: &mut Deadline,
+    stats: &mut SearchStats,
+) -> (Vec<Mapping>, ecf::SearchEnd) {
+    let mut scratch = ParallelScratch::new();
+    let filter =
+        FilterMatrix::build_par_pooled(problem, None, 4, dl, stats, scratch.pool_mut()).unwrap();
+    let (order, policy) = (NodeOrder::default(), StealPolicy::default());
+    parallel::search(
+        problem,
+        &filter,
+        4,
+        None,
+        order,
+        dl,
+        stats,
+        &mut scratch,
+        policy,
+    )
 }
 
 #[test]
@@ -84,14 +108,16 @@ fn mid_stride_polls_do_not_mask_expiry_at_phase_boundaries() {
     assert!(!dl.was_expired(), "strided poll should not have fired yet");
     let mut sink = CollectAll::default();
     let mut stats = SearchStats::default();
+    let filter = FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap();
     let end = ecf::search(
         &problem,
+        &filter,
         NodeOrder::default(),
         &mut dl,
         &mut sink,
         &mut stats,
-    )
-    .unwrap();
+        &mut SearchScratch::new(),
+    );
     assert_eq!(end, ecf::SearchEnd::Timeout);
     assert!(stats.timed_out);
     assert_eq!(stats.nodes_visited, 0);
@@ -108,8 +134,7 @@ fn cancellation_propagates_through_cloned_worker_deadlines() {
     let mut dl = Deadline::unlimited();
     dl.cancel();
     let mut stats = SearchStats::default();
-    let (sols, end) =
-        parallel::search(&problem, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+    let (sols, end) = parallel_ecf(&problem, &mut dl, &mut stats);
     assert!(sols.is_empty());
     assert_eq!(end, ecf::SearchEnd::Timeout);
     assert_eq!(stats.nodes_visited, 0);
@@ -132,8 +157,7 @@ fn cancel_mid_search_stops_all_workers() {
     });
     let mut dl = dl;
     let mut stats = SearchStats::default();
-    let (_, end) =
-        parallel::search(&problem, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+    let (_, end) = parallel_ecf(&problem, &mut dl, &mut stats);
     handle.join().unwrap();
     match end {
         ecf::SearchEnd::Timeout => assert!(stats.timed_out),
