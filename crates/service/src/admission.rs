@@ -249,14 +249,18 @@ impl AdmissionPolicy {
 /// load per request at most. Injection is *semantic*, not memory-unsafe:
 /// an injected panic exercises the planner's per-member panic isolation
 /// (the member gets `ServiceError::Internal`, group-mates are
-/// unaffected); an injected build truncation exercises the cache's
-/// abandon-and-takeover chain (the designated builder abandons its
-/// ticket as if its deadline had cut the build short).
+/// unaffected); an injected build truncation exercises the epoch
+/// caches' abandon-and-takeover chain (the designated builder abandons
+/// its ticket as if its deadline had cut the build short).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Panic inside every `N`-th planner member run (0 = never).
     pub panic_every_nth_run: u64,
-    /// Abandon every `N`-th designated filter build (0 = never).
+    /// Abandon every `N`-th designated cached build a request run makes
+    /// — a filter or a substrate coarsening alike (0 = never). The
+    /// run answers timed out; a waiter takes the build over.
+    /// [`NetEmbedService::warm_hierarchy`](crate::NetEmbedService::warm_hierarchy)
+    /// is no request run and is never abandoned.
     pub truncate_every_nth_build: u64,
 }
 

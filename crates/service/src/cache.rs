@@ -53,8 +53,7 @@
 //! * **promote** — the window is provably empty, so the superseded
 //!   value is still exact: its slot is re-keyed in place and the next
 //!   fetch is a plain hit, no build, no miss. Promotion is thus repair
-//!   over an empty window. The re-key re-checks that the candidate
-//!   survived and that nobody filled the new key meanwhile;
+//!   over an empty window;
 //! * **replace** — the window only removed candidates (attribute churn,
 //!   logical edge/node removals): the hook clones the superseded
 //!   matrix, repairs it with
@@ -71,7 +70,14 @@
 //!   dirty node becoming newly admissible *outside* the cached
 //!   candidate set;
 //! * **skip** — the window cannot be classified (broken delta chain, no
-//!   registry history): nothing moves, and the caller falls through.
+//!   registry history), or the request's budget ran out before a patch
+//!   finished: nothing moves, the superseded entry stays for the next
+//!   request, and the caller falls through.
+//!
+//! Both carrying arms re-check, under one hold of the cache lock, that
+//! the candidate survived the hook and that nobody filled the new key
+//! meanwhile: a candidate invalidated with its host while the hook ran
+//! (a model removal) carries nothing across.
 //!
 //! `repair` returns what it did ([`Repaired`]), so a caller stamps its
 //! response's statistics from the return value; the lifetime counters
@@ -413,8 +419,9 @@ pub struct EpochCache<K, V> {
 /// "Epoch repair").
 pub enum PatchDecision<V> {
     /// The window cannot be classified (broken delta chain, no registry
-    /// history): leave the cache untouched and fall through to the
-    /// normal miss/build path. No counter moves.
+    /// history), or the caller's budget cut the repair short: leave the
+    /// cache untouched and fall through to the normal miss/build path.
+    /// No counter moves.
     Skip,
     /// The composed dirty window is provably empty: the superseded
     /// value is still exact — re-key it in place (a promotion).
@@ -433,12 +440,13 @@ pub enum PatchDecision<V> {
 /// What one [`EpochCache::repair`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Repaired {
-    /// The key was already memoized; the decide hook never ran.
+    /// The key was already memoized, or a concurrent build filled it
+    /// while the decide hook ran.
     Present,
     /// Nothing was repaired and no counter moved: no superseded entry
-    /// of the key's lineage, an unclassifiable window
-    /// ([`PatchDecision::Skip`]), or a candidate evicted while the hook
-    /// ran. The caller's fetch misses and builds.
+    /// of the key's lineage, a skipped window
+    /// ([`PatchDecision::Skip`]), or a candidate evicted or invalidated
+    /// while the hook ran. The caller's fetch misses and builds.
     Nothing,
     /// The superseded entry was re-keyed in place.
     Promoted,
@@ -652,7 +660,11 @@ impl<K: EpochKey, V> EpochCache<K, V> {
     /// Callers must only insert *complete* builds — a deadline-truncated
     /// filter is a function of the deadline, not the key.
     pub fn insert(&self, key: K, value: Arc<V>) {
-        let mut st = self.state.lock();
+        self.insert_locked(&mut self.state.lock(), key, value);
+    }
+
+    /// [`EpochCache::insert`] under a hold of the cache lock.
+    fn insert_locked(&self, st: &mut CacheState<K, V>, key: K, value: Arc<V>) {
         st.map
             .retain(|k, _| k.host() != key.host() || k.epoch() >= key.epoch());
         st.tick += 1;
@@ -707,14 +719,8 @@ impl<K: EpochKey, V> EpochCache<K, V> {
         };
         match decide(old_key.epoch(), &value) {
             PatchDecision::Skip => Repaired::Nothing,
-            PatchDecision::Promote => self.rekey(&old_key, key),
-            PatchDecision::Replace(patched) => {
-                // `insert`'s same-host staleness purge drops the
-                // superseded candidate in the same lock hold.
-                self.insert(key.clone(), patched);
-                self.patches.fetch_add(1, Ordering::Relaxed);
-                Repaired::Patched
-            }
+            PatchDecision::Promote => self.carry(&old_key, key, None),
+            PatchDecision::Replace(patched) => self.carry(&old_key, key, Some(patched)),
             PatchDecision::Rebuild => {
                 self.patch_rebuilds.fetch_add(1, Ordering::Relaxed);
                 Repaired::Rebuild
@@ -722,10 +728,15 @@ impl<K: EpochKey, V> EpochCache<K, V> {
         }
     }
 
-    /// Re-key `old_key`'s slot to `key` (the promote arm of
-    /// [`EpochCache::repair`]), re-checking under the lock that the
-    /// candidate survived and that nobody filled `key` meanwhile.
-    fn rekey(&self, old_key: &K, key: &K) -> Repaired {
+    /// Carry `old_key`'s entry across to `key` under one hold of the
+    /// cache lock (the promote and replace arms of
+    /// [`EpochCache::repair`]): re-key the entry itself, or memoize its
+    /// `patched` replacement — but only if nobody filled `key` while the
+    /// decide hook ran and the candidate survived it. A candidate that
+    /// was evicted, purged, or invalidated with its host
+    /// ([`EpochCache::invalidate_host`], on model removal) carries
+    /// nothing, so a repair can never resurrect a dead host's entry.
+    fn carry(&self, old_key: &K, key: &K, patched: Option<Arc<V>>) -> Repaired {
         let mut st = self.state.lock();
         if st.map.contains_key(key) {
             // A concurrent builder landed the fresh epoch first; its
@@ -733,20 +744,30 @@ impl<K: EpochKey, V> EpochCache<K, V> {
             return Repaired::Present;
         }
         let Some(slot) = st.map.remove(old_key) else {
-            // Evicted while the hook ran; nothing left to promote.
             return Repaired::Nothing;
         };
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key.clone(),
-            Slot {
-                value: slot.value,
-                last_used: tick,
-            },
-        );
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        Repaired::Promoted
+        match patched {
+            Some(value) => {
+                // The same-host staleness purge and the LRU cap, as in
+                // `insert`, in this same lock hold.
+                self.insert_locked(&mut st, key.clone(), value);
+                self.patches.fetch_add(1, Ordering::Relaxed);
+                Repaired::Patched
+            }
+            None => {
+                st.tick += 1;
+                let tick = st.tick;
+                st.map.insert(
+                    key.clone(),
+                    Slot {
+                        value: slot.value,
+                        last_used: tick,
+                    },
+                );
+                self.promotions.fetch_add(1, Ordering::Relaxed);
+                Repaired::Promoted
+            }
+        }
     }
 
     /// Drop every entry for `host` (any epoch) — eager invalidation for
@@ -1331,6 +1352,22 @@ mod tests {
         let got = cache.lookup(&key("h", 3, "a")).expect("patched entry");
         assert!(Arc::ptr_eq(&got, &repaired));
         assert!(cache.lookup(&key("h", 1, "a")).is_none());
+    }
+
+    #[test]
+    fn replace_decided_while_the_host_is_invalidated_memoizes_nothing() {
+        // A model removal that lands while the decide hook patches must
+        // not let the patched clone resurrect an entry for the dead host.
+        let cache = FilterCache::new();
+        let host = path_host(4);
+        cache.insert(key("h", 1, "a"), build(&host));
+        let did = cache.repair(&key("h", 3, "a"), |_, _| {
+            cache.invalidate_host("h");
+            PatchDecision::Replace(build(&host))
+        });
+        assert_eq!(did, Repaired::Nothing);
+        assert_eq!(cache.patches(), 0, "nothing was memoized");
+        assert_eq!(cache.len(), 0, "the dead host's entry was resurrected");
     }
 
     #[test]

@@ -33,56 +33,60 @@
 //!
 //! ## Request lifecycle
 //!
-//! A request travels through four amortization layers, each reusing
-//! everything the previous one established:
+//! A request passes four layers, each reusing everything the previous
+//! one established:
 //!
 //! 1. **submit** — [`NetEmbedService::submit`] (or a client holding a
 //!    [`PreparedQuery`]) names a host, a query network and a §VI-B
 //!    constraint. Unknown hosts and malformed/ill-typed constraints
 //!    fail here, before any queueing or search.
-//! 2. **prepare** — the constraint is parsed + type-linted once, the
-//!    query fingerprinted once, and the handle binds to a registry
-//!    snapshot `(Arc<Network>, ModelEpoch)`; the problem is compiled
-//!    once per snapshot and serves both the search and the final
-//!    mapping re-verification.
+//! 2. **prepare** — the constraint is parsed + type-linted once and the
+//!    query fingerprinted once: at [`NetEmbedService::prepare`] for a
+//!    [`PreparedQuery`], at group creation for a planner group.
 //! 3. **planner** (optional, [`NetEmbedService::planner`]) — concurrent
 //!    clients enqueue [`planner::PlannedRequest`]s. The request's
 //!    grouping key `(host, epoch, query fingerprint, constraint)` —
 //!    exactly a [`FilterKey`] — is **hashed onto one of N dispatch
 //!    shards** ([`NetEmbedService::planner_shards`]); within its shard,
-//!    pending requests with the same key coalesce into one group that
-//!    is dispatched through **one** prepared pipeline: one parse/lint,
-//!    one compiled problem, one filter build or cache hit (pinned for
-//!    the group), one leased scratch. Per-request deadlines and
-//!    failures stay per-request. Dispatch is waiter-driven and
-//!    serialized **per shard**, so same-key bursts coalesce by
-//!    backpressure (group commit) with no timing windows, while
-//!    distinct-key groups in distinct shards dispatch concurrently,
-//!    each on its own leased scratch/pool; see [`planner`] for the
-//!    hash → shard → group → dispatch pipeline, the fairness/ordering
-//!    guarantees (per-shard FIFO, bounded dispatch bursts) and the
+//!    pending requests with the same key coalesce into one group.
+//!    Dispatch is waiter-driven and serialized **per shard**, so
+//!    same-key bursts coalesce by backpressure (group commit) with no
+//!    timing windows, while distinct-key groups in distinct shards
+//!    dispatch concurrently; see [`planner`] for the hash → shard →
+//!    group → dispatch pipeline, the fairness/ordering guarantees
+//!    (per-shard FIFO, bounded dispatch bursts) and the
 //!    `Σ filter_cache_hits + Σ coalesced_requests == N − 1` counter
 //!    identity.
-//! 4. **pool** — the run executes on a leased warm [`EmbedScratch`]
-//!    whose persistent worker pool parks threads between runs
-//!    ([`SearchStats::pool_reuse`](netembed::SearchStats) proves warm
-//!    runs spawn nothing); filter builds miss into the shared
-//!    [`cache::FilterCache`], where concurrent misses on one key are
-//!    deduplicated through an in-flight build table (second miss waits
-//!    for the winner instead of rebuilding —
-//!    [`SearchStats::dedup_waits`](netembed::SearchStats)).
+//! 4. **run** — a prepared batch and a dispatched planner group run
+//!    **one** pipeline (the [`prepared`] module), on a leased warm
+//!    [`EmbedScratch`] whose persistent worker pool parks threads
+//!    between runs ([`SearchStats::pool_reuse`](netembed::SearchStats)
+//!    proves warm runs spawn nothing). The problem is compiled once
+//!    against one registry snapshot `(Arc<Network>, ModelEpoch)` and
+//!    serves both the searches and the mapping re-verification; the
+//!    first member to run repairs the [`cache::FilterCache`] across the
+//!    model's dirty window on its own budget; each member resolves its
+//!    filter through that cache — a hit, a wait on a concurrent build
+//!    of the same key
+//!    ([`SearchStats::dedup_waits`](netembed::SearchStats)), or a build
+//!    charged to its own budget — and the first filter obtained is
+//!    pinned for the rest of the batch or group. Every member still
+//!    gets its own engine run under its own options, deadline and
+//!    failure isolation, and every response is stamped with the
+//!    serve-time staleness.
 //!
-//! Beside the pool layer sits the **HIERARCHY** layer, engaged when a
+//! Beside the run sits the **HIERARCHY** layer, engaged when a
 //! request's [`Options::hierarchy`](netembed::Options) is set: the
 //! host substrate is coarsened once into a multilevel
-//! [`SubstrateHierarchy`] — cached per `(host, epoch, spec)` in the
-//! service's [`cache::HierarchyCache`], the same [`cache::EpochCache`]
-//! the filters live in (so concurrent cold misses coarsen once and the
-//! waiters share the builder's `Arc`), and warmable ahead of traffic
-//! via [`NetEmbedService::warm_hierarchy`] — and each run refines
-//! top-down: sound abstract constraint verdicts over aggregated
-//! super-node bounds prune whole subtrees, and the exact filter is
-//! built only inside the survivors
+//! [`SubstrateHierarchy`], cached per `(host, epoch, spec)` in the
+//! service's [`cache::HierarchyCache`] and fetched through the same
+//! step as a filter — concurrent cold misses coarsen once and the
+//! waiters share the builder's `Arc`, a waiter pays for its wait and
+//! the builder for its coarsening, each on its own budget.
+//! [`NetEmbedService::warm_hierarchy`] coarsens ahead of traffic, so no
+//! request pays. Each run then refines top-down: sound abstract
+//! constraint verdicts over aggregated super-node bounds prune whole
+//! subtrees, and the exact filter is built only inside the survivors
 //! ([`FilterMatrix::build_restricted`](netembed::FilterMatrix)).
 //! Solution sets are identical to the flat path; on large substrates
 //! only a fraction of the `O(|VQ|·|VR|)` admission matrix is ever
@@ -103,8 +107,9 @@
 //! resync with backoff — see [`feed`]) and records each applied
 //! delta's dirty-node set per epoch transition
 //! ([`ModelRegistry::dirty_between`]). The request layers consume the
-//! feed twice: before resolving a filter key, the service classifies
-//! the accumulated dirty window against the superseded cached filter —
+//! feed twice: before resolving a filter key, the first member of a
+//! batch or group classifies the accumulated dirty window against the
+//! superseded cached filter, on that member's budget —
 //! an empty window *promotes* the entry in place, a removal-only window
 //! *patches* a clone with
 //! [`FilterMatrix::patch`](netembed::FilterMatrix::patch) and re-keys
@@ -134,9 +139,13 @@
 //!   `Inconclusive`, per [`ShedMode`]) over a possibly-stale answer.
 //!
 //! The gate is enforced at both submit paths — planner admission and
-//! the direct [`PreparedQuery`] path — and `tests/feed.rs` +
-//! `tests/chaos.rs` pin the trichotomy: every response is fresh,
-//! `Staleness`-marked within `max_lag`, or a deterministic shed.
+//! the direct [`PreparedQuery`] path — and one rule stamps both: a
+//! response that ran carries the serve-time marker and mirrors its lag
+//! into `staleness_lag`; a response that never ran (shed in either
+//! [`ShedMode`], or dead in the queue) carries no marker and a zero
+//! lag. `tests/feed.rs` + `tests/chaos.rs` pin the trichotomy: every
+//! response is fresh, `Staleness`-marked within `max_lag`, or a
+//! deterministic shed.
 //!
 //! ## Admission, priority and load shedding
 //!
@@ -263,13 +272,14 @@ pub use registry::{DirtySet, ModelEpoch, ModelRegistry};
 pub use reservation::{Reservation, ReservationError, ReservationManager};
 pub use schedule::{Allocation, ScheduleError, ScheduledEmbedding, Scheduler, Tick};
 
-use cache::{EpochCache, EpochKey, Fetch, Repaired};
+use cache::{EpochCache, EpochKey, Repaired};
 use netembed::{
     Deadline, EmbedScratch, HistogramSnapshot, Mapping, Options, Outcome, PatchOutcome, Problem,
-    ProblemError, SearchStats, SubstrateHierarchy,
+    ProblemError, SearchStats, SubstrateHierarchy, WorkerPool,
 };
 use netgraph::Network;
 use parking_lot::Mutex;
+use prepared::{Fetched, RunCtx};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -342,6 +352,22 @@ impl QueryResponse {
     /// The mappings found (empty for inconclusive results).
     pub fn mappings(&self) -> &[Mapping] {
         self.outcome.mappings()
+    }
+
+    /// A timed-out `Inconclusive` with no search work and no staleness
+    /// marker, `elapsed` long: the answer of every request that does not
+    /// run to a search — shed, died in the queue, or used up by a cached
+    /// fetch.
+    pub(crate) fn timed_out(elapsed: Duration) -> Self {
+        QueryResponse {
+            outcome: Outcome::Inconclusive,
+            stats: SearchStats {
+                timed_out: true,
+                elapsed,
+                ..SearchStats::default()
+            },
+            staleness: None,
+        }
     }
 }
 
@@ -563,18 +589,11 @@ impl NetEmbedService {
             epoch,
             spec,
         };
-        match self.fetch_hierarchy(&key, None, None) {
-            Fetch::Hit(hier) | Fetch::Waited(hier) => Ok(hier),
-            Fetch::MustBuild(ticket) => {
-                let hier = Arc::new(SubstrateHierarchy::build(&net, &spec));
-                ticket.complete(hier.clone());
-                Ok(hier)
-            }
-            Fetch::Overloaded => Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull)),
-            Fetch::WaitExpired | Fetch::Cancelled => {
-                unreachable!("an unbounded wait without a cancel probe")
-            }
-        }
+        let ctx = RunCtx::bare(&self.cache);
+        let fetched = self.fetch_hierarchy(&ctx, &key, &net, None, &mut WorkerPool::new())?;
+        Ok(fetched
+            .value
+            .expect("a fetch without budget, probe or fault plan is never used up"))
     }
 
     /// The service's configuration (admission policy, parking caps).
@@ -643,6 +662,21 @@ impl NetEmbedService {
         }
     }
 
+    /// Resolve a shed request per the service's [`ShedMode`] — the one
+    /// place the mode is read: a deterministic
+    /// [`ServiceError::Overloaded`] under [`ShedMode::Reject`], else a
+    /// [`QueryResponse::timed_out`] `elapsed` long.
+    pub(crate) fn shed(
+        &self,
+        reason: ShedReason,
+        elapsed: Duration,
+    ) -> Result<QueryResponse, ServiceError> {
+        match self.config.admission.shed {
+            ShedMode::Reject => Err(ServiceError::Overloaded(reason)),
+            ShedMode::DegradeInconclusive => Ok(QueryResponse::timed_out(elapsed)),
+        }
+    }
+
     /// The [`Staleness`] marker to stamp on a response computed against
     /// `epoch` right now — `None` while the feed is live.
     pub(crate) fn current_staleness(&self, epoch: ModelEpoch) -> Option<Staleness> {
@@ -681,49 +715,59 @@ impl NetEmbedService {
         })
     }
 
-    /// Filter repair ([`NetEmbedService::repair`]): a non-empty window
-    /// clones the superseded matrix and repairs it with
+    /// Filter repair ([`NetEmbedService::repair`]) under `budget`: a
+    /// non-empty window clones the superseded matrix and repairs it with
     /// [`FilterMatrix::patch`](netembed::FilterMatrix::patch) under
     /// `problem` (compiled at `key.epoch`); a removal-only window
     /// re-keys the repaired clone, while a window that *added* a
-    /// feasible candidate falls back to a full rebuild.
+    /// feasible candidate falls back to a full rebuild. A patch the
+    /// budget cuts short decides [`PatchDecision::Skip`]: nothing moves,
+    /// and the superseded entry stays for the next run.
     ///
     /// Routing every non-empty window through the patch path is what
     /// makes epoch reuse sound for additive mutations: the old
     /// touched-host intersection could not see a dirty node becoming
     /// newly admissible outside the cached candidate set, and would
     /// promote a filter that silently misses solutions.
-    pub(crate) fn repair_filter(&self, key: &FilterKey, problem: &Problem<'_>) -> Repaired {
+    pub(crate) fn repair_filter(
+        &self,
+        key: &FilterKey,
+        problem: &Problem<'_>,
+        budget: Option<Duration>,
+    ) -> Repaired {
         self.repair(&self.cache, key, |dirty, filter| {
             let ids: Vec<netgraph::NodeId> = dirty.iter().map(netgraph::NodeId).collect();
             let mut repaired = filter.clone();
-            let mut dl = Deadline::unlimited();
+            let mut deadline = Deadline::new(budget);
             let mut stats = SearchStats::default();
-            match repaired.patch(problem, &ids, &mut dl, &mut stats) {
+            match repaired.patch(problem, &ids, &mut deadline, &mut stats) {
                 Ok(PatchOutcome::Patched) => {
                     debug_assert!(!repaired.truncated(), "caching a truncated patch");
                     PatchDecision::Replace(Arc::new(repaired))
                 }
+                _ if deadline.was_expired() => PatchDecision::Skip,
                 Ok(PatchOutcome::NeedsRebuild) | Err(_) => PatchDecision::Rebuild,
             }
         })
     }
 
-    /// Resolve the coarsening `key` names through the hierarchy cache's
-    /// in-flight table, after the epoch repair: a coarsening aggregates
-    /// every node, so an empty dirty window promotes the superseded one
-    /// and any other window rebuilds it. The caller coarsens on
-    /// [`Fetch::MustBuild`]; a concurrent miss waits (at most
-    /// `wait_budget`, abandoned early by `cancel`) for that build.
+    /// The coarsening `key` names, for `ctx`'s run: repaired across the
+    /// dirty window first (a coarsening aggregates every node, so an
+    /// empty window promotes the superseded one and any other window
+    /// rebuilds it), then fetched like a filter ([`RunCtx::fetch`]) —
+    /// coarsening `host` on the builder's budget on a miss.
     pub(crate) fn fetch_hierarchy(
         &self,
+        ctx: &RunCtx<'_>,
         key: &HierarchyKey,
-        wait_budget: Option<Duration>,
-        cancel: Option<&dyn Fn() -> bool>,
-    ) -> Fetch<'_, HierarchyKey, SubstrateHierarchy> {
+        host: &Network,
+        timeout: Option<Duration>,
+        pool: &mut WorkerPool,
+    ) -> Result<Fetched<SubstrateHierarchy>, ServiceError> {
         self.repair(&self.hierarchies, key, |_, _| PatchDecision::Rebuild);
-        self.hierarchies
-            .fetch_or_build_watch(key, wait_budget, cancel)
+        ctx.fetch(&self.hierarchies, key, timeout, pool, |_, _, _| {
+            Ok((SubstrateHierarchy::build(host, &key.spec), true))
+        })
     }
 
     /// The parked-scratch cap in force right now: an explicit
@@ -1017,6 +1061,7 @@ impl NetEmbedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache::Fetch;
     use netembed::{Algorithm, Outcome};
     use netgraph::Direction;
 
@@ -1628,6 +1673,48 @@ mod tests {
             "the submit must not coarsen a second copy"
         );
         drop(ticket);
+    }
+
+    #[test]
+    fn cold_hierarchical_submit_charges_the_coarsening_to_its_builder() {
+        // The designated builder of a coarsening pays for it on its own
+        // budget, as a filter builder does: a 1 µs budget is gone once
+        // the coarsening is done, and `elapsed` covers the coarsening.
+        let mut host = Network::new(Direction::Undirected);
+        let nodes: Vec<_> = (0..4_000).map(|i| host.add_node(format!("n{i}"))).collect();
+        for (i, &u) in nodes.iter().enumerate() {
+            let e = host.add_edge(u, nodes[(i + 1) % nodes.len()]);
+            host.set_edge_attr(e, "avgDelay", (i % 40) as f64);
+        }
+        let svc = NetEmbedService::new();
+        svc.registry().register("ring", host);
+        let started = std::time::Instant::now();
+        let resp = svc
+            .submit(&QueryRequest {
+                host: "ring".into(),
+                query: edge_query(),
+                constraint: "rEdge.avgDelay <= 15.0".into(),
+                options: Options {
+                    timeout: Some(Duration::from_micros(1)),
+                    hierarchy: Some(netembed::HierarchySpec::default()),
+                    ..Options::default()
+                },
+            })
+            .unwrap();
+        let wall = started.elapsed();
+        assert!(matches!(resp.outcome, Outcome::Inconclusive));
+        assert!(resp.stats.timed_out);
+        assert!(
+            resp.stats.elapsed * 2 >= wall,
+            "elapsed {:?} leaves the coarsening out of a {wall:?} submit",
+            resp.stats.elapsed
+        );
+        assert_eq!(svc.hierarchy_cache().misses(), 1);
+        assert_eq!(
+            svc.telemetry().hierarchies_resident,
+            1,
+            "a complete coarsening is memoized whatever the budget"
+        );
     }
 
     #[test]

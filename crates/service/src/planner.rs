@@ -1,23 +1,31 @@
-//! Cross-request planner: a coalescing, **sharded** request queue over
-//! [`PreparedQuery`](crate::PreparedQuery)'s machinery.
+//! Cross-request planner: a coalescing, **sharded** request queue in
+//! front of the service's one serving pipeline (the
+//! [`prepared`](crate::prepared) module).
 //!
-//! PR 4 made amortization *session*-scoped: one `PreparedQuery` handle
-//! reuses its compiled problem, cached filter and leased scratch across
-//! its own runs. But two **independent clients** submitting the same
-//! query against the same host still each pay their own prepare, their
-//! own cache probe and their own dispatch. The [`Planner`] closes that
-//! gap — the ROADMAP's cross-request amortization layer:
+//! A [`PreparedQuery`](crate::PreparedQuery) amortizes per *session*:
+//! one handle reuses its compiled problem, cached filter and leased
+//! scratch across its own runs. But two **independent clients**
+//! submitting the same query against the same host still each pay their
+//! own prepare, their own cache probe and their own dispatch. The
+//! [`Planner`] closes that gap — the cross-request amortization layer:
 //!
 //! * [`Planner::submit`] enqueues a [`PlannedRequest`] and returns a
 //!   [`Ticket`]; compatible pending requests — same **grouping key**
 //!   `(host, model epoch, query fingerprint, constraint)`, which is
 //!   exactly a [`FilterKey`] — join one *group*;
-//! * each group is dispatched through **one** prepared pipeline: one
-//!   constraint parse/lint (done once when the group is created), one
-//!   compiled [`Problem`], one filter build **or** cache hit pinned for
-//!   the whole group, one leased warm scratch/pool. Every member still
-//!   gets its *own* engine run under its *own* [`Options`], so results
-//!   are identical to isolated sequential submits;
+//! * each group is dispatched through the pipeline a prepared batch
+//!   runs: one constraint parse/lint (done once when the group is
+//!   created), one compiled [`Problem`](netembed::Problem), one cache
+//!   repair, one filter build **or** cache hit pinned for the whole
+//!   group, one leased warm scratch/pool. Every member still gets its
+//!   *own* engine run under its *own* [`Options`], so results are
+//!   identical to isolated sequential submits;
+//! * around that pipeline the planner keeps only its own concerns:
+//!   queue wait comes off each member's budget, a cancel probe stops
+//!   work for a dropped ticket, a member's panic stays that member's
+//!   error, a member that rode the group's pin is credited as
+//!   coalesced, and the per-shard ledgers and histograms record it
+//!   all;
 //! * results fan back to the per-request tickets, with per-request
 //!   deadlines respected and group-member failures isolated (one
 //!   member's timeout or verification failure never poisons its
@@ -101,16 +109,20 @@
 //! ## Deadlines and cancellation
 //!
 //! A member's `Options::timeout` is measured from **enqueue**: time
-//! spent queued behind other groups counts against its budget, and a
-//! member whose budget is exhausted when its turn comes is answered
-//! with a timed-out [`Outcome::Inconclusive`] (its `elapsed` reporting
-//! the queue wait) without running — and without disturbing its
-//! group-mates. Dropping a [`Ticket`] before [`Ticket::wait`] cancels
-//! the request: a still-queued member is unlinked from its group on the
-//! spot, a member already being dispatched has its result discarded at
-//! delivery (and the dispatcher's cancel probe aborts any dedup wait it
-//! was blocked in on that member's behalf) — either way no queue slot,
-//! result slot or cancellation mark survives the ticket.
+//! spent queued behind other groups comes off its budget before it
+//! runs, and a member whose budget is exhausted when its turn comes is
+//! answered with a timed-out [`Outcome::Inconclusive`](netembed::Outcome)
+//! (its `elapsed` reporting the queue wait, no staleness marker)
+//! without running — and without disturbing its group-mates. What is
+//! left pays for everything the member runs: the group's cache repair
+//! when it is the first member to run, a wait on a concurrent build or
+//! a build of its own, and its search. Dropping a [`Ticket`] before
+//! [`Ticket::wait`] cancels the request: a still-queued member is
+//! unlinked from its group on the spot, a member already being
+//! dispatched has its result discarded at delivery (and the
+//! dispatcher's cancel probe aborts any dedup wait it was blocked in
+//! on that member's behalf) — either way no queue slot, result slot or
+//! cancellation mark survives the ticket.
 //!
 //! ## Admission and load shedding
 //!
@@ -126,16 +138,17 @@
 //! [`Planner::submit`] is `Normal`); if none exists the incoming
 //! request itself is shed. The global cap always sheds the incoming
 //! request — lanes never reach into each other's queues. Shed requests
-//! resolve per [`ShedMode`]: a deterministic
+//! resolve per [`ShedMode`](crate::ShedMode): a deterministic
 //! [`ServiceError::Overloaded`] or a fast timed-out `Inconclusive`.
 //! The full lifecycle/state diagram lives in the crate docs
 //! ([`crate`], "Admission, priority and load shedding").
 
-use crate::admission::{Priority, ShedMode, ShedReason};
+use crate::admission::{Priority, ShedReason};
 use crate::cache::FilterKey;
+use crate::prepared::Runner;
 use crate::{NetEmbedService, QueryRequest, QueryResponse, ServiceError};
 use cexpr::Expr;
-use netembed::{FilterMatrix, Options, Outcome, Problem, SearchStats};
+use netembed::Options;
 use netgraph::Network;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -160,7 +173,8 @@ struct Member {
 }
 
 /// Pending requests sharing one grouping key, model snapshot and parsed
-/// constraint — dispatched together through one prepared pipeline.
+/// constraint — dispatched together through one run of the serving
+/// pipeline.
 /// The query and expr are `Arc`ed so a burst-split remainder re-queues
 /// without re-cloning a possibly large network or re-parsing.
 struct PendingGroup {
@@ -327,27 +341,12 @@ enum Admit {
     /// timed-out `Inconclusive`, or the victim's per-mode resolution)
     /// is already parked under this id.
     ShedResolved(u64),
-    /// Shed under [`ShedMode::Reject`]: the submitter gets the error,
-    /// no ticket exists.
-    ShedRejected(ShedReason),
+    /// Shed under [`ShedMode::Reject`](crate::ShedMode::Reject): the
+    /// submitter gets the error, no ticket exists.
+    ShedRejected(ServiceError),
     /// Fast path only: no open group for the key — parse the
     /// constraint and retry with the group-creation ingredients.
     NoOpenGroup,
-}
-
-/// The canonical shed resolution: a timed-out `Inconclusive` whose
-/// `elapsed` reports however long the request actually sat in the
-/// queue (zero when shed at submit).
-fn shed_response(queued: Duration) -> QueryResponse {
-    QueryResponse {
-        outcome: Outcome::Inconclusive,
-        stats: SearchStats {
-            timed_out: true,
-            elapsed: queued,
-            ..SearchStats::default()
-        },
-        staleness: None,
-    }
 }
 
 /// Eviction preference among two candidates: lowest [`Priority`]
@@ -389,7 +388,14 @@ impl<'svc> Planner<'svc> {
     /// [`Planner::submit`] on an unknown host. Exposed so stress
     /// harnesses and operators can reason about lane placement.
     pub fn shard_for(&self, request: &PlannedRequest) -> Result<usize, ServiceError> {
-        let (_, epoch) = self
+        let (_, key) = self.key_for(request)?;
+        Ok(shard_index_for(&key, self.shards.len()))
+    }
+
+    /// `request`'s grouping key at its host's current epoch, with the
+    /// model snapshot that epoch names.
+    fn key_for(&self, request: &PlannedRequest) -> Result<(Arc<Network>, FilterKey), ServiceError> {
+        let (model, epoch) = self
             .svc
             .registry()
             .get(&request.host)
@@ -400,7 +406,7 @@ impl<'svc> Planner<'svc> {
             query_hash: crate::cache::network_fingerprint(&request.query),
             constraint: request.constraint.clone(),
         };
-        Ok(shard_index_for(&key, self.shards.len()))
+        Ok((model, key))
     }
 
     /// Dispatchers executing a group right now, across all shards.
@@ -421,8 +427,9 @@ impl<'svc> Planner<'svc> {
     /// that doesn't parse or type-lint; a request joining an existing
     /// group inherits that group's already-validated constraint, which
     /// is textually identical by the grouping key. Under an
-    /// [`AdmissionPolicy`](crate::AdmissionPolicy) with bounds, the request may instead be shed
-    /// (module docs): [`ShedMode::Reject`] surfaces
+    /// [`AdmissionPolicy`](crate::AdmissionPolicy) with bounds, the
+    /// request may instead be shed (module docs):
+    /// [`ShedMode::Reject`](crate::ShedMode::Reject) surfaces
     /// [`ServiceError::Overloaded`] here; a degraded or
     /// deadline-hopeless request still gets a ticket, pre-resolved to a
     /// timed-out `Inconclusive`.
@@ -442,17 +449,7 @@ impl<'svc> Planner<'svc> {
         request: &PlannedRequest,
         priority: Priority,
     ) -> Result<Ticket<'_, 'svc>, ServiceError> {
-        let (model, epoch) = self
-            .svc
-            .registry()
-            .get(&request.host)
-            .ok_or_else(|| ServiceError::UnknownHost(request.host.clone()))?;
-        let key = FilterKey {
-            host: request.host.clone(),
-            epoch,
-            query_hash: crate::cache::network_fingerprint(&request.query),
-            constraint: request.constraint.clone(),
-        };
+        let (model, key) = self.key_for(request)?;
         let shard = shard_index_for(&key, self.shards.len());
         let enqueued = Instant::now();
         // Fast path: admit into an existing open group. Only cheap work
@@ -507,9 +504,9 @@ impl<'svc> Planner<'svc> {
                     finished: false,
                 })
             }
-            Admit::ShedRejected(reason) => {
+            Admit::ShedRejected(e) => {
                 self.shards[shard].wake.notify_all();
-                Err(ServiceError::Overloaded(reason))
+                Err(e)
             }
             Admit::NoOpenGroup => unreachable!("resolved before group creation"),
         }
@@ -568,9 +565,7 @@ impl<'svc> Planner<'svc> {
             if !est.is_zero() && est > budget {
                 overload.record_submitted();
                 overload.record_shed(ShedReason::DeadlineHopeless);
-                let id = self.alloc_id();
-                st.results.insert(id, Ok(shed_response(Duration::ZERO)));
-                return Admit::ShedResolved(id);
+                return self.park(st, Ok(QueryResponse::timed_out(Duration::ZERO)));
             }
         }
         // Service-wide cap across all shards. Always sheds the incoming
@@ -650,14 +645,18 @@ impl<'svc> Planner<'svc> {
         let overload = self.svc.overload_shard(shard);
         overload.record_submitted();
         overload.record_shed(reason);
-        match self.svc.config().admission.shed {
-            ShedMode::Reject => Admit::ShedRejected(reason),
-            ShedMode::DegradeInconclusive => {
-                let id = self.alloc_id();
-                st.results.insert(id, Ok(shed_response(Duration::ZERO)));
-                Admit::ShedResolved(id)
-            }
+        match self.svc.shed(reason, Duration::ZERO) {
+            Err(e) => Admit::ShedRejected(e),
+            degraded => self.park(st, degraded),
         }
+    }
+
+    /// Park a shed request's resolution under a fresh id, for the
+    /// pre-resolved ticket the submitter receives.
+    fn park(&self, st: &mut ShardState, response: Result<QueryResponse, ServiceError>) -> Admit {
+        let id = self.alloc_id();
+        st.results.insert(id, response);
+        Admit::ShedResolved(id)
     }
 
     /// Park the shed resolution for an evicted (already-admitted)
@@ -669,10 +668,7 @@ impl<'svc> Planner<'svc> {
     /// [`record_evicted`]: crate::admission::OverloadStats::record_evicted
     fn shed_victim(&self, shard: usize, st: &mut ShardState, victim: Member, reason: ShedReason) {
         self.svc.overload_shard(shard).record_evicted(reason);
-        let response = match self.svc.config().admission.shed {
-            ShedMode::Reject => Err(ServiceError::Overloaded(reason)),
-            ShedMode::DegradeInconclusive => Ok(shed_response(victim.enqueued.elapsed())),
-        };
+        let response = self.svc.shed(reason, victim.enqueued.elapsed());
         st.results.insert(victim.id, response);
     }
 
@@ -699,7 +695,9 @@ impl<'svc> Planner<'svc> {
 
     /// Requests that rode a group-mate's pinned filter instead of
     /// touching the shared cache (the planner-level sum of the
-    /// per-response [`SearchStats::coalesced_requests`] counters).
+    /// per-response
+    /// [`SearchStats::coalesced_requests`](netembed::SearchStats::coalesced_requests)
+    /// counters).
     pub fn coalesced_total(&self) -> u64 {
         self.coalesced_total.load(Ordering::Relaxed)
     }
@@ -780,12 +778,14 @@ impl<'svc> Planner<'svc> {
         self.shards[shard].wake.notify_all();
     }
 
-    /// Execute one group end to end: compile once, lease one scratch,
-    /// run every live member against the group's pinned filter, deliver
-    /// per-member results. Runs on the dispatching waiter's thread with
-    /// the shard lock *released* (only `deliver`/`take_cancelled` touch
-    /// it, briefly) — which is exactly what lets other shards' groups
-    /// run at the same time on their own waiters' threads.
+    /// Execute one group end to end through the pipeline a prepared
+    /// batch runs (compile once, repair once, one pinned filter) on one
+    /// leased scratch, and deliver per-member results; the planner adds
+    /// only its own concerns (module docs). Runs on
+    /// the dispatching waiter's thread with the shard lock *released*
+    /// (only `deliver`/`take_cancelled` touch it, briefly) — which is
+    /// exactly what lets other shards' groups run at the same time on
+    /// their own waiters' threads.
     fn execute(&self, shard: usize, group: PendingGroup) {
         let PendingGroup {
             key,
@@ -802,10 +802,9 @@ impl<'svc> Planner<'svc> {
         // Whole-group wall time feeds this shard's EWMA, which powers
         // its deadline-hopeless admission (queue wait ≈ groups × EWMA).
         let dispatch_started = Instant::now();
-        // One compiled problem serves every member's search *and* the
-        // re-verification of every mapping handed back.
-        let problem = match Problem::from_parsed(&query, &model, &expr) {
-            Ok(p) => p,
+        let overload = self.svc.overload_shard(shard);
+        let mut runner = match Runner::new(self.svc, &key, &query, &model, &expr) {
+            Ok(runner) => runner,
             Err(e) => {
                 // Group-level failure: every member gets the same
                 // (cloned) error — isolated failure semantics only
@@ -817,62 +816,24 @@ impl<'svc> Planner<'svc> {
             }
         };
         let mut scratch = self.svc.checkout_scratch();
-        // Epoch repair: a superseded-epoch cached filter is re-keyed
-        // across a clean window, patched in place across a subtractive
-        // one, or left to the miss below to rebuild (same
-        // classification as the prepared path). The repair ran once
-        // for the group, so it is credited to the first member that
-        // receives a response: summing `patches`/`patch_rebuilds` over
-        // responses then reproduces the cache's counters.
-        let mut repair = Some(self.svc.repair_filter(&key, &problem));
-        let mut respond = |id, mut response: Result<QueryResponse, ServiceError>| {
-            if let (Ok(answer), Some(done)) = (&mut response, repair) {
-                done.credit(&mut answer.stats);
-                repair = None;
-            }
-            self.deliver(shard, id, response);
-        };
-        // Stamped once per group: every member dispatches against the
-        // same epoch, so they share one staleness verdict.
-        let staleness = self.svc.current_staleness(key.epoch);
-        // The group pin: the first member to obtain a filter (hit or
-        // build) fixes the exact `Arc` every later member reuses —
-        // same eviction immunity as a `PreparedQuery` batch.
-        let mut pinned: Option<Arc<FilterMatrix>> = None;
         for member in &members {
             if self.take_cancelled(shard, member.id) {
                 continue;
             }
             let queued = member.enqueued.elapsed();
-            self.svc.overload_shard(shard).queue_wait.record(queued);
-            let run_options = match member.options.timeout {
-                Some(budget) => {
-                    let remaining = budget.saturating_sub(queued);
-                    if remaining.is_zero() {
-                        // Deadline died in the queue: a timed-out
-                        // member, not a poisoned group.
-                        respond(
-                            member.id,
-                            Ok(QueryResponse {
-                                outcome: Outcome::Inconclusive,
-                                stats: SearchStats {
-                                    timed_out: true,
-                                    elapsed: queued,
-                                    ..SearchStats::default()
-                                },
-                                staleness: None,
-                            }),
-                        );
-                        continue;
-                    }
-                    Options {
-                        timeout: Some(remaining),
-                        ..member.options.clone()
-                    }
-                }
-                None => member.options.clone(),
+            overload.queue_wait.record(queued);
+            let timeout = member.options.timeout.map(|t| t.saturating_sub(queued));
+            if timeout.is_some_and(|t| t.is_zero()) {
+                // Deadline died in the queue: a timed-out member, not a
+                // poisoned group.
+                self.deliver(shard, member.id, Ok(QueryResponse::timed_out(queued)));
+                continue;
+            }
+            let options = Options {
+                timeout,
+                ..member.options.clone()
             };
-            let had_pin = pinned.is_some();
+            let had_pin = runner.pinned();
             let run_started = Instant::now();
             // Cancel propagation: if this member's ticket is dropped
             // while the dispatcher works on its behalf, the probe stops
@@ -891,72 +852,42 @@ impl<'svc> Planner<'svc> {
                 if self.svc.faults().should_panic_run() {
                     panic!("injected planner fault");
                 }
-                crate::prepared::run_cached(
-                    crate::prepared::RunCtx::service(self.svc, Some(&cancel_probe)),
-                    &key,
-                    &problem,
-                    &run_options,
-                    &mut scratch,
-                    &mut pinned,
-                )
-                .and_then(|mut result| {
-                    // Same safety net as every service path: never
-                    // return a mapping the compiled problem can't
-                    // re-verify.
-                    for m in &result.mappings {
-                        netembed::check_mapping(&problem, m)
-                            .map_err(ServiceError::VerificationFailed)?;
-                    }
-                    if had_pin && result.stats.filter_cache_hits > 0 {
+                runner.run(&options, &mut scratch, Some(&cancel_probe))
+            }));
+            overload.dispatch.record(run_started.elapsed());
+            let response = match attempt {
+                Ok(Ok(mut answer)) => {
+                    if had_pin && answer.stats.filter_cache_hits > 0 {
                         // This member rode the group pin: it never
                         // touched the shared cache, so the credit moves
                         // from `filter_cache_hits` to
                         // `coalesced_requests` — the counter identity
                         // in the module docs depends on the two being
                         // mutually exclusive.
-                        result.stats.filter_cache_hits -= 1;
-                        result.stats.coalesced_requests += 1;
+                        answer.stats.filter_cache_hits -= 1;
+                        answer.stats.coalesced_requests += 1;
                         self.coalesced_total.fetch_add(1, Ordering::Relaxed);
                     }
-                    result.stats.staleness_lag = staleness.map_or(0, |s| s.lag);
-                    Ok(QueryResponse {
-                        outcome: result.outcome,
-                        stats: result.stats,
-                        staleness,
-                    })
-                })
-            }));
-            self.svc
-                .overload_shard(shard)
-                .dispatch
-                .record(run_started.elapsed());
-            let response = match attempt {
+                    Ok(answer)
+                }
                 Ok(Err(ServiceError::Overloaded(reason))) => {
                     // Shed mid-dispatch (the dedup waiter cap): this
                     // member was admitted, so its `accepted` credit
                     // moves to the shed column — the queue-depth slot
-                    // itself is released by `deliver` as usual. Then
-                    // resolve per mode, like any other shed.
-                    self.svc.overload_shard(shard).record_shed_admitted(reason);
-                    match self.svc.config().admission.shed {
-                        ShedMode::Reject => Err(ServiceError::Overloaded(reason)),
-                        ShedMode::DegradeInconclusive => {
-                            Ok(shed_response(member.enqueued.elapsed()))
-                        }
-                    }
+                    // itself is released by `deliver` as usual.
+                    overload.record_shed_admitted(reason);
+                    self.svc.shed(reason, member.enqueued.elapsed())
                 }
-                Ok(response) => response,
+                Ok(Err(e)) => Err(e),
                 Err(payload) => {
                     scratch = netembed::EmbedScratch::new();
                     Err(ServiceError::Internal(panic_message(&*payload)))
                 }
             };
-            respond(member.id, response);
+            self.deliver(shard, member.id, response);
         }
         self.svc.checkin_scratch(scratch);
-        self.svc
-            .overload_shard(shard)
-            .observe_dispatch(dispatch_started.elapsed());
+        overload.observe_dispatch(dispatch_started.elapsed());
     }
 }
 
@@ -1119,6 +1050,7 @@ impl std::fmt::Debug for Ticket<'_, '_> {
 mod tests {
     use super::*;
     use crate::{ConstraintFault, ServiceConfig};
+    use netembed::{FilterMatrix, Outcome, Problem, SearchStats};
     use netgraph::Direction;
     use std::time::Duration;
 

@@ -1,35 +1,37 @@
-//! Prepared queries: the long-lived request handle of the service API.
+//! Prepared queries, and the one serving pipeline every request runs.
 //!
 //! §III describes applications that query the mapping service
 //! *repeatedly* — negotiation loops, scheduler sweeps, periodic
 //! re-checks under monitoring churn. A [`PreparedQuery`] front-loads
-//! everything that is per-*request* rather than per-*run*:
+//! what is per-*request* rather than per-*run*: the constraint is
+//! parsed and type-linted **once**, at [`NetEmbedService::prepare`] (a
+//! malformed constraint fails there, as
+//! [`ServiceError::BadConstraint`], never mid-search), and the handle
+//! leases a warm [`netembed::EmbedScratch`] — DFS arenas *and* the
+//! persistent worker pool — until it drops, so back-to-back runs are
+//! allocation-free and spawn-free
+//! ([`SearchStats::pool_reuse`](netembed::SearchStats) shows it).
 //!
-//! * the constraint is parsed and type-linted **once**, at
-//!   [`NetEmbedService::prepare`] (a malformed constraint fails there,
-//!   as [`ServiceError::BadConstraint`], never mid-search);
-//! * each run binds the parsed expression to the *current* registry
-//!   snapshot via [`netembed::Problem::from_parsed`] — one compiled
-//!   problem serves both the search and the mapping re-verification;
-//! * filter builds are memoized in the service's shared
-//!   [`FilterCache`] under `(host name,
-//!   model epoch, query fingerprint, constraint)` — repeated runs (or
-//!   repeated `submit`s of the same request, which are thin wrappers
-//!   over this type) rebuild nothing until the model's epoch moves, and
-//!   an epoch bump invalidates exactly this host's entries;
-//! * the handle leases a warm [`netembed::EmbedScratch`] — DFS arenas
-//!   *and* the persistent parallel worker pool — from the service, and
-//!   returns it on drop, so back-to-back prepared runs are
-//!   allocation-free and spawn-free
-//!   ([`SearchStats::pool_reuse`](netembed::SearchStats) shows it).
+//! A prepared batch and a [`planner`](crate::planner) group run the
+//! same pipeline, written once here: bind the parsed expression to one
+//! registry snapshot ([`netembed::Problem::from_parsed`]); let the
+//! first member to run repair the [`FilterCache`] across the model's
+//! dirty window on its own budget
+//! ([`EpochCache::repair`](crate::cache::EpochCache::repair)); resolve
+//! each member's filter, or coarsening, through the epoch caches — a
+//! hit, a wait on a concurrent build, or a build charged to the
+//! member's budget ([`netembed::BuildCharge`]) — pinning the first
+//! filter for the rest of the batch or group; re-verify every mapping
+//! with [`netembed::check_mapping`] against the compiled problem; and
+//! stamp the serve-time [`Staleness`](crate::Staleness).
 
-use crate::admission::{ShedMode, ShedReason};
-use crate::cache::{Fetch, FilterCache, FilterKey, HierarchyKey};
+use crate::admission::ShedReason;
+use crate::cache::{EpochCache, EpochKey, Fetch, FilterCache, FilterKey, HierarchyKey, Repaired};
 use crate::{NetEmbedService, QueryResponse, ServiceError};
 use cexpr::Expr;
 use netembed::{
-    Algorithm, BuildCharge, Deadline, EmbedResult, EmbedScratch, Engine, FilterMatrix, Options,
-    Outcome, Problem, SearchStats,
+    Algorithm, BuildCharge, Deadline, EmbedScratch, Engine, FilterMatrix, Options, Problem,
+    ProblemError, SearchStats, WorkerPool,
 };
 use netgraph::Network;
 use std::sync::Arc;
@@ -101,7 +103,7 @@ impl<'svc> PreparedQuery<'svc> {
 
     /// Run once under `options` against the current model snapshot.
     pub fn run(&mut self, options: &Options) -> Result<QueryResponse, ServiceError> {
-        let mut out = self.run_many(std::slice::from_ref(options))?;
+        let mut out = self.run_batch(std::slice::from_ref(options))?;
         Ok(out.pop().expect("one response per run"))
     }
 
@@ -110,39 +112,19 @@ impl<'svc> PreparedQuery<'svc> {
     /// batch, not a run in the middle of this one), so one filter build
     /// — or one cache hit — serves every filter-based run.
     pub fn run_batch(&mut self, runs: &[Options]) -> Result<Vec<QueryResponse>, ServiceError> {
-        self.run_many(runs)
-    }
-
-    fn run_many(&mut self, runs: &[Options]) -> Result<Vec<QueryResponse>, ServiceError> {
-        let (host, epoch) = self
-            .svc
+        let svc = self.svc;
+        let (host, epoch) = svc
             .registry()
             .get(&self.host)
             .ok_or_else(|| ServiceError::UnknownHost(self.host.clone()))?;
         // Staleness gate (crate docs, "Staleness and degradation"): the
         // direct path has no admission queue, so the gate is the whole
-        // check — shed per the service's mode, exactly like a planner
-        // submit would.
-        if self.svc.stale_shed() {
-            match self.svc.config().admission.shed {
-                ShedMode::Reject => {
-                    return Err(ServiceError::Overloaded(ShedReason::StaleModel));
-                }
-                ShedMode::DegradeInconclusive => {
-                    let staleness = self.svc.current_staleness(epoch);
-                    return Ok(runs
-                        .iter()
-                        .map(|_| {
-                            let shed = shed_inconclusive();
-                            QueryResponse {
-                                outcome: shed.outcome,
-                                stats: shed.stats,
-                                staleness,
-                            }
-                        })
-                        .collect());
-                }
-            }
+        // check — every run sheds, exactly like a planner submit would.
+        if svc.stale_shed() {
+            return runs
+                .iter()
+                .map(|_| svc.shed(ShedReason::StaleModel, Duration::ZERO))
+                .collect();
         }
         let key = FilterKey {
             host: self.host.clone(),
@@ -150,64 +132,14 @@ impl<'svc> PreparedQuery<'svc> {
             query_hash: self.query_hash,
             constraint: self.constraint.clone(),
         };
-        let problem = Problem::from_parsed(&self.query, &host, &self.expr)?;
-        // Epoch bump since the last cached build? Classify the dirty
-        // window before the fetch below can miss: empty → promote the
-        // old entry, subtractive → patch it in place, additive or
-        // unknown → let the miss rebuild.
-        let repair = self.svc.repair_filter(&key, &problem);
+        let mut runner = Runner::new(svc, &key, &self.query, &host, &self.expr)?;
         let scratch = self.scratch.as_mut().expect("scratch leased until drop");
-        let mut responses = Vec::with_capacity(runs.len());
-        // Batch-local pin: once a filter is obtained (hit or build), the
-        // rest of the batch reuses this exact `Arc` regardless of what
-        // concurrent queries do to the shared cache's LRU — the old
-        // `submit_batch` held its filter in a local, and a long batch
-        // must keep that eviction immunity.
-        let mut pinned: Option<Arc<FilterMatrix>> = None;
-        for options in runs {
-            let fetched = run_cached(
-                RunCtx::service(self.svc, None),
-                &key,
-                &problem,
-                options,
-                scratch,
-                &mut pinned,
-            );
-            let result = match fetched {
-                // Direct-path dedup shedding resolves per the service's
-                // shed mode: degrade to a fast timed-out Inconclusive,
-                // or surface the deterministic Overloaded error.
-                Err(ServiceError::Overloaded(_))
-                    if self.svc.config().admission.shed == ShedMode::DegradeInconclusive =>
-                {
-                    shed_inconclusive()
-                }
-                other => other?,
-            };
-            // Safety net, §III: independently verify every mapping
-            // before returning — against the *same* compiled problem
-            // the search used (the old submit path compiled it twice).
-            for m in &result.mappings {
-                netembed::check_mapping(&problem, m).map_err(ServiceError::VerificationFailed)?;
-            }
-            // Stamp serve-time staleness: the epoch this batch is bound
-            // to may be lagging a degraded feed.
-            let staleness = self.svc.current_staleness(epoch);
-            let mut stats = result.stats;
-            stats.staleness_lag = staleness.map_or(0, |s| s.lag);
-            responses.push(QueryResponse {
-                outcome: result.outcome,
-                stats,
-                staleness,
-            });
-        }
-        // The repair ran once, before the batch: credit it to the first
-        // response so a submit loop can sum `patches`/`patch_rebuilds`
-        // across responses, mirroring `filter_cache_hits`.
-        if let Some(first) = responses.first_mut() {
-            repair.credit(&mut first.stats);
-        }
-        Ok(responses)
+        runs.iter()
+            .map(|options| match runner.run(options, scratch, None) {
+                Err(ServiceError::Overloaded(reason)) => svc.shed(reason, Duration::ZERO),
+                answer => answer,
+            })
+            .collect()
     }
 }
 
@@ -229,16 +161,103 @@ impl std::fmt::Debug for PreparedQuery<'_> {
     }
 }
 
-/// Everything [`run_cached`] needs from its host: the filter cache to
-/// resolve through, the owning service, and the dispatcher's cancel
-/// probe. The standalone [`crate::schedule::Scheduler`] runs `bare`:
-/// its private cache, no service, no cancellation.
+/// The pipeline of one prepared batch or one planner group (module
+/// docs): compiled once by [`Runner::new`], then one [`Runner::run`]
+/// per member. Callers keep only their own concerns: resolving a shed
+/// per the service's mode, and for the planner the queue-wait budget,
+/// the cancel probe, panic isolation and its ledgers.
+pub(crate) struct Runner<'a> {
+    svc: &'a NetEmbedService,
+    key: &'a FilterKey,
+    problem: Problem<'a>,
+    /// The first filter obtained (hit, wait or complete build): every
+    /// later filter-based run reuses this exact `Arc`, whatever
+    /// concurrent queries do to the shared cache's LRU.
+    pinned: Option<Arc<FilterMatrix>>,
+    /// `None` until the first member to run repairs the filter cache;
+    /// then that repair until an `Ok` response carries it (summing
+    /// `patches`/`patch_rebuilds` over responses then reproduces the
+    /// cache's counters), and `Nothing` after.
+    repair: Option<Repaired>,
+}
+
+impl<'a> Runner<'a> {
+    /// Bind the parsed constraint to the `host` snapshot `key` names.
+    pub(crate) fn new(
+        svc: &'a NetEmbedService,
+        key: &'a FilterKey,
+        query: &'a Network,
+        host: &'a Network,
+        expr: &'a Expr,
+    ) -> Result<Self, ProblemError> {
+        Ok(Runner {
+            svc,
+            key,
+            problem: Problem::from_parsed(query, host, expr)?,
+            pinned: None,
+            repair: None,
+        })
+    }
+
+    /// Whether a filter is pinned: the next filter-based run reuses it
+    /// without touching the shared cache.
+    pub(crate) fn pinned(&self) -> bool {
+        self.pinned.is_some()
+    }
+
+    /// Run one member under `options`. The first member to run repairs
+    /// the filter cache on its own budget: the repair's wall time comes
+    /// off its timeout and onto its `elapsed`. `cancel` is the planner
+    /// dispatcher's probe for a dropped ticket ([`RunCtx::fetch`]); an
+    /// `Err(Overloaded)` is the caller's to shed.
+    pub(crate) fn run(
+        &mut self,
+        options: &Options,
+        scratch: &mut EmbedScratch,
+        cancel: Option<&dyn Fn() -> bool>,
+    ) -> Result<QueryResponse, ServiceError> {
+        let started = Instant::now();
+        self.repair.get_or_insert_with(|| {
+            self.svc
+                .repair_filter(self.key, &self.problem, options.timeout)
+        });
+        let repair_time = started.elapsed();
+        let options = Options {
+            timeout: options.timeout.map(|t| t.saturating_sub(repair_time)),
+            ..options.clone()
+        };
+        let mut response = run_cached(
+            RunCtx::service(self.svc, cancel),
+            self.key,
+            &self.problem,
+            &options,
+            scratch,
+            &mut self.pinned,
+        )?;
+        // Safety net, §III: never return a mapping the compiled problem
+        // cannot re-verify.
+        for m in response.mappings() {
+            netembed::check_mapping(&self.problem, m).map_err(ServiceError::VerificationFailed)?;
+        }
+        response.stats.elapsed += repair_time;
+        // The snapshot this run answered from may be lagging a degraded
+        // feed: stamp the serve-time marker.
+        response.staleness = self.svc.current_staleness(self.key.epoch);
+        response.stats.staleness_lag = response.staleness.map_or(0, |s| s.lag);
+        if let Some(repair) = self.repair.replace(Repaired::Nothing) {
+            repair.credit(&mut response.stats);
+        }
+        Ok(response)
+    }
+}
+
+/// What a run needs from its host: the filter cache, the service
+/// behind it (hierarchy cache, registry, fault injector) and the
+/// planner dispatcher's cancel probe. The standalone
+/// [`crate::schedule::Scheduler`] runs `bare`, and so does
+/// [`NetEmbedService::warm_hierarchy`], which is no request run.
 pub(crate) struct RunCtx<'a> {
     cache: &'a FilterCache,
-    /// The service whose hierarchy cache and registry serve
-    /// hierarchical runs and whose fault injector drives chaos tests;
-    /// `None` (the bare scheduler) coarsens per call and injects
-    /// nothing.
     svc: Option<&'a NetEmbedService>,
     cancel: Option<&'a dyn Fn() -> bool>,
 }
@@ -259,41 +278,138 @@ impl<'a> RunCtx<'a> {
             cancel: None,
         }
     }
+
+    /// Resolve `key` through `cache` for one run — the one fetch step of
+    /// both epoch caches — charging the run per [`BuildCharge`]: a hit
+    /// is free; a wait on another thread's build of the key (at most
+    /// for `timeout`) is wall time on the budget, but no CPU; a wait the
+    /// budget or the cancel probe cut short leaves no value; a wait past
+    /// the cache's waiter cap is [`ServiceError::Overloaded`], for the
+    /// caller to shed. The designated builder runs `build` on what the
+    /// budget left (a takeover builder has already waited) and `pool`,
+    /// and gets the value and whether it is complete: a complete value
+    /// is published to the cache and its waiters, an incomplete one (a
+    /// deadline-truncated filter is a function of the budget, not the
+    /// key) is abandoned for a waiter to take over. The fault injector
+    /// may abandon a designated build before it starts, observably a
+    /// build truncated at once.
+    pub(crate) fn fetch<K: EpochKey, V>(
+        &self,
+        cache: &EpochCache<K, V>,
+        key: &K,
+        timeout: Option<Duration>,
+        pool: &mut WorkerPool,
+        build: impl FnOnce(
+            &mut Deadline,
+            &mut SearchStats,
+            &mut WorkerPool,
+        ) -> Result<(V, bool), ServiceError>,
+    ) -> Result<Fetched<V>, ServiceError> {
+        let mut charge = BuildCharge::begin(pool.spawned_total());
+        let (value, source) = match cache.fetch_or_build_watch(key, timeout, self.cancel) {
+            Fetch::Hit(value) => return Ok(Fetched::hit(value)),
+            Fetch::Waited(value) => (Some(value), Source::Waited),
+            Fetch::WaitExpired | Fetch::Cancelled => (None, Source::Waited),
+            Fetch::Overloaded => {
+                return Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull));
+            }
+            Fetch::MustBuild(ticket)
+                if self
+                    .svc
+                    .is_some_and(|svc| svc.faults().should_truncate_build()) =>
+            {
+                ticket.abandon();
+                (None, Source::Built(SearchStats::default()))
+            }
+            Fetch::MustBuild(ticket) => {
+                charge.mark_build_start();
+                let mut deadline = Deadline::new(charge.remaining_now(timeout));
+                let mut stats = SearchStats::default();
+                // A `?` here drops the ticket, which abandons the key so
+                // a waiter can take over — builders never strand waiters.
+                let (value, complete) = build(&mut deadline, &mut stats, pool)?;
+                let value = Arc::new(value);
+                if complete {
+                    ticket.complete(value.clone());
+                } else {
+                    ticket.abandon();
+                }
+                (Some(value), Source::Built(stats))
+            }
+        };
+        charge.finish_build(pool.spawned_total());
+        Ok(Fetched {
+            value,
+            source,
+            charge,
+        })
+    }
 }
 
-/// One engine run through the service's filter cache: pinned/hit →
-/// reuse the memoized matrix (`stats.filter_cache_hits = 1`, zero build
-/// evals); miss → resolve through the cache's in-flight dedup table
-/// ([`crate::cache::EpochCache::fetch_or_build`]). A *designated
-/// builder* builds under this run's budget (parallel builds go through
-/// the scratch's persistent pool), charges the build to its own stats
-/// and timeout via the shared [`BuildCharge`] contract, and memoizes
-/// the matrix unless the deadline truncated it (a truncated filter is a
-/// function of the budget, not the key — the ticket is abandoned and
-/// the next run rebuilds under its own budget). A run that instead
-/// found the same key *already being built* blocks — at most for its
-/// own budget — and reuses the winner's matrix, reporting
-/// `dedup_waits = 1` alongside the hit; a wait the budget cut short
-/// reports a plain timeout, exactly as if the budget had gone into a
-/// truncated build.
-///
-/// `pinned` is the caller's batch-local slot for the same key: it is
-/// consulted before the shared cache and populated by the first hit or
-/// complete build, so a multi-run caller keeps its filter even if the
-/// shared LRU evicts the entry mid-batch. Single-run callers pass a
-/// fresh `&mut None`.
-///
-/// Overload/cancellation hooks: a dedup wait that hits the cache's
-/// waiter cap returns [`ServiceError::Overloaded`] (the *caller* maps
-/// it per the service's [`ShedMode`] — the planner moves the member's
-/// `accepted` credit to the shed column, the direct path degrades or
-/// propagates); `cancel` is the planner dispatcher's probe for "the
-/// requester dropped its ticket", which aborts dedup waits with a
-/// discarded Inconclusive instead of blocking on a build nobody will
-/// read. The service's fault injector may force a designated build to
-/// abandon (chaos testing): observably identical to a deadline-
-/// truncated build, so it exercises the abandon→takeover chain without
-/// ever caching a truncated filter.
+/// A cached artifact as one run obtained it ([`RunCtx::fetch`]), and
+/// what obtaining it cost.
+pub(crate) struct Fetched<V> {
+    /// `None` when the fetch used the run up: its `elapsed` is the
+    /// whole wait or abandoned build.
+    pub(crate) value: Option<Arc<V>>,
+    source: Source,
+    charge: BuildCharge,
+}
+
+/// Where a [`Fetched`] value came from.
+enum Source {
+    /// The memo or the caller's pin.
+    Hit,
+    /// A concurrent build of the same key this run blocked on.
+    Waited,
+    /// This run's own build, with the build's counters.
+    Built(SearchStats),
+}
+
+impl<V> Fetched<V> {
+    fn hit(value: Arc<V>) -> Self {
+        Fetched {
+            value: Some(value),
+            source: Source::Hit,
+            charge: BuildCharge::begin(0),
+        }
+    }
+
+    /// `options` with the budget the fetch left.
+    fn remaining(&self, options: &Options) -> Options {
+        Options {
+            timeout: self.charge.remaining(options.timeout),
+            ..options.clone()
+        }
+    }
+
+    /// Charge the fetch to the statistics of the run it served — a
+    /// wait's wall time into `elapsed`, a build per
+    /// [`BuildCharge::charge_build`] — and return the run's hit credit:
+    /// 1 when the value came ready-made (hit or wait), 0 when the run
+    /// built it.
+    fn settle(&self, stats: &mut SearchStats) -> u64 {
+        match &self.source {
+            Source::Hit => {}
+            Source::Waited => stats.elapsed += self.charge.spent(),
+            Source::Built(build) => self.charge.charge_build(stats, build),
+        }
+        self.charge.settle_pool_reuse(stats);
+        u64::from(!matches!(self.source, Source::Built(_)))
+    }
+}
+
+/// One engine run through the service's caches. LNS keeps no filter
+/// state (§V-C), and a hierarchical run with no service behind it
+/// coarsens per call. A hierarchical run fetches its coarsening
+/// ([`NetEmbedService::fetch_hierarchy`]); its restricted filter is a
+/// product of its own refinement and bypasses the filter cache on
+/// purpose, since a flat key would mix full and restricted matrices. A
+/// flat run reuses the caller's `pinned` filter or fetches one,
+/// building it on the scratch's pool on a miss, and pins the first
+/// complete one. The search runs on the budget the fetch left; a run
+/// the fetch used up answers timed out. Staleness is the [`Runner`]'s
+/// to stamp.
 pub(crate) fn run_cached(
     ctx: RunCtx<'_>,
     key: &FilterKey,
@@ -301,195 +417,70 @@ pub(crate) fn run_cached(
     options: &Options,
     scratch: &mut EmbedScratch,
     pinned: &mut Option<Arc<FilterMatrix>>,
-) -> Result<EmbedResult, ServiceError> {
-    if matches!(options.algorithm, Algorithm::Lns) {
-        // LNS keeps no filter state (that is its point, §V-C); it only
-        // shares the scratch.
-        return Ok(Engine::run_with_scratch(problem, options, scratch)?);
-    }
-    if let Some(spec) = options.hierarchy {
-        // Hierarchical runs bypass the filter cache on purpose: their
-        // restricted matrix is a product of this run's refinement, and
-        // memoizing it under the flat key would let a later flat run
-        // serve (correct but pointlessly narrow) restricted cells — or
-        // a hierarchical run hit a full matrix and skip the very
-        // pruning it asked for. The expensive shared artifact here is
-        // the *coarsening*, which is per-`(host, epoch, spec)` and
-        // resolved through the service's `HierarchyCache` exactly like
-        // a filter: repaired across the dirty window, built once by a
-        // designated builder while concurrent misses wait for its `Arc`
-        // (at most for their budget), shed past the waiter cap.
-        let Some(svc) = ctx.svc else {
-            let hier = netembed::SubstrateHierarchy::build(problem.host, &spec);
-            return Ok(Engine::run_hier(problem, &hier, options, scratch)?);
-        };
-        let hkey = HierarchyKey {
-            host: key.host.clone(),
-            epoch: key.epoch,
-            spec,
-        };
-        let wait_started = Instant::now();
-        let mut waited = Duration::ZERO;
-        let (hier, hit) = match svc.fetch_hierarchy(&hkey, options.timeout, ctx.cancel) {
-            Fetch::Hit(hier) => (hier, true),
-            Fetch::Waited(hier) => {
-                waited = wait_started.elapsed();
-                (hier, true)
-            }
-            Fetch::MustBuild(ticket) => {
-                let hier = Arc::new(netembed::SubstrateHierarchy::build(problem.host, &spec));
-                ticket.complete(hier.clone());
-                (hier, false)
-            }
-            Fetch::WaitExpired => {
-                let mut result = shed_inconclusive();
-                result.stats.elapsed = wait_started.elapsed();
-                return Ok(result);
-            }
-            Fetch::Overloaded => {
-                return Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull))
-            }
-            Fetch::Cancelled => return Ok(shed_inconclusive()),
-        };
-        // A hit delivered late: the wait consumed wall time on this
-        // run's budget, as in the filter path below.
-        let run_options = Options {
-            timeout: options.timeout.map(|t| t.saturating_sub(waited)),
-            ..options.clone()
-        };
-        let mut result = Engine::run_hier(problem, &hier, &run_options, scratch)?;
-        result.stats.hierarchy_cache_hits = u64::from(hit);
-        result.stats.elapsed += waited;
-        return Ok(result);
-    }
-    if let Some(filter) = pinned.as_ref().cloned() {
-        let mut result = Engine::run_prebuilt(problem, &filter, options, scratch)?;
-        result.stats.filter_cache_hits += 1;
-        return Ok(result);
-    }
-    let mut charge = BuildCharge::begin(scratch.parallel.pool().spawned_total());
-    match ctx
-        .cache
-        .fetch_or_build_watch(key, options.timeout, ctx.cancel)
-    {
-        Fetch::Hit(filter) => {
-            *pinned = Some(filter.clone());
-            let mut result = Engine::run_prebuilt(problem, &filter, options, scratch)?;
-            result.stats.filter_cache_hits += 1;
-            Ok(result)
+) -> Result<QueryResponse, ServiceError> {
+    let result = match (options.algorithm, options.hierarchy, ctx.svc) {
+        (Algorithm::Lns, _, _) | (_, Some(_), None) => {
+            Engine::run_with_scratch(problem, options, scratch)?
         }
-        Fetch::Waited(filter) => {
-            // Someone else built this key while we blocked: a cache hit
-            // delivered late. The wait consumed real wall time on this
-            // run's budget (but no CPU), so the search runs on the
-            // remainder and the wait is added back to `elapsed`.
-            *pinned = Some(filter.clone());
-            charge.finish_build(scratch.parallel.pool().spawned_total());
-            let run_options = Options {
-                timeout: charge.remaining(options.timeout),
-                ..options.clone()
+        (_, Some(spec), Some(svc)) => {
+            let hkey = HierarchyKey {
+                host: key.host.clone(),
+                epoch: key.epoch,
+                spec,
             };
-            let mut result = Engine::run_prebuilt(problem, &filter, &run_options, scratch)?;
-            result.stats.filter_cache_hits += 1;
-            result.stats.dedup_waits += 1;
-            result.stats.elapsed += charge.spent();
-            Ok(result)
-        }
-        Fetch::WaitExpired => {
-            // The whole budget went into waiting on a build that did
-            // not finish in time — the same observable outcome as a
-            // deadline-truncated own build.
-            // No `dedup_waits` here: that counter (like the cache's)
-            // only marks waits that actually *delivered* a filter — an
-            // expired wait saved nothing, exactly as the cache counts
-            // it.
-            charge.finish_build(scratch.parallel.pool().spawned_total());
-            let mut result = shed_inconclusive();
-            result.stats.elapsed = charge.spent();
-            Ok(result)
-        }
-        Fetch::Overloaded => {
-            // The in-flight build's waiter convoy is full. The caller
-            // decides what the shed resolves to (planner: telemetry +
-            // per-mode delivery; direct path: degrade or propagate).
-            Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull))
-        }
-        Fetch::Cancelled => {
-            // The requester dropped its ticket while this thread waited
-            // on its behalf; the result is discarded at delivery, so a
-            // bare Inconclusive is enough.
-            Ok(shed_inconclusive())
-        }
-        Fetch::MustBuild(ticket) => {
-            // Chaos injection: abandon this build as if its deadline
-            // had truncated it — waiters wake and one takes over; the
-            // "builder" reports a timeout. Identical to the organic
-            // truncation path below, so nothing downstream can tell
-            // injected faults from real ones.
-            if ctx
-                .svc
-                .is_some_and(|svc| svc.faults().should_truncate_build())
-            {
-                ticket.abandon();
-                charge.finish_build(scratch.parallel.pool().spawned_total());
-                let mut result = shed_inconclusive();
-                result.stats.elapsed = charge.spent();
-                return Ok(result);
-            }
-            // A takeover builder (its predecessor's build was abandoned
-            // mid-wait) has already burned part of its budget blocking:
-            // `remaining_now` keeps the deadline honest, and the
-            // build-start mark keeps the blocked time out of
-            // `cpu_time`.
-            charge.mark_build_start();
-            let mut deadline = Deadline::new(charge.remaining_now(options.timeout));
-            let mut build_stats = SearchStats::default();
-            let threads = match options.algorithm {
-                Algorithm::ParallelEcf { threads } => threads,
-                _ => 1,
-            };
-            // A `?` here drops the ticket, which abandons the key so a
-            // waiter can take over — builders never strand waiters.
-            let filter = Arc::new(FilterMatrix::build_par_pooled(
-                problem,
-                None,
-                threads,
-                &mut deadline,
-                &mut build_stats,
+            let fetched = svc.fetch_hierarchy(
+                &ctx,
+                &hkey,
+                problem.host,
+                options.timeout,
                 scratch.parallel.pool_mut(),
-            )?);
-            charge.finish_build(scratch.parallel.pool().spawned_total());
-            if filter.truncated() {
-                ticket.abandon();
-            } else {
-                ticket.complete(filter.clone());
+            )?;
+            let Some(hier) = &fetched.value else {
+                return Ok(QueryResponse::timed_out(fetched.charge.spent()));
+            };
+            let mut result = Engine::run_hier(problem, hier, &fetched.remaining(options), scratch)?;
+            result.stats.hierarchy_cache_hits += fetched.settle(&mut result.stats);
+            result
+        }
+        (_, None, _) => {
+            let fetched = match pinned {
+                Some(filter) => Fetched::hit(filter.clone()),
+                None => {
+                    let threads = match options.algorithm {
+                        Algorithm::ParallelEcf { threads } => threads,
+                        _ => 1,
+                    };
+                    ctx.fetch(
+                        ctx.cache,
+                        key,
+                        options.timeout,
+                        scratch.parallel.pool_mut(),
+                        |deadline, stats, pool| {
+                            let filter = FilterMatrix::build_par_pooled(
+                                problem, None, threads, deadline, stats, pool,
+                            )?;
+                            let complete = !filter.truncated();
+                            Ok((filter, complete))
+                        },
+                    )?
+                }
+            };
+            let Some(filter) = &fetched.value else {
+                return Ok(QueryResponse::timed_out(fetched.charge.spent()));
+            };
+            if !filter.truncated() {
                 *pinned = Some(filter.clone());
             }
-            // The builder's search runs on whatever budget the build
-            // left over; later cache hitters get their full timeout
-            // (they paid nothing).
-            let run_options = Options {
-                timeout: charge.remaining(options.timeout),
-                ..options.clone()
-            };
-            let mut result = Engine::run_prebuilt(problem, &filter, &run_options, scratch)?;
-            charge.charge_build(&mut result.stats, &build_stats);
-            charge.settle_pool_reuse(&mut result.stats);
-            Ok(result)
+            let mut result =
+                Engine::run_prebuilt(problem, filter, &fetched.remaining(options), scratch)?;
+            result.stats.filter_cache_hits += fetched.settle(&mut result.stats);
+            result.stats.dedup_waits += u64::from(matches!(fetched.source, Source::Waited));
+            result
         }
-    }
-}
-
-/// The canonical shed/cancel result: a fast timed-out `Inconclusive`
-/// with zero search work — observably the outcome admission predicted
-/// (the request's budget would have died waiting anyway).
-pub(crate) fn shed_inconclusive() -> EmbedResult {
-    EmbedResult {
-        mappings: Vec::new(),
-        outcome: Outcome::Inconclusive,
-        stats: SearchStats {
-            timed_out: true,
-            ..SearchStats::default()
-        },
-    }
+    };
+    Ok(QueryResponse {
+        outcome: result.outcome,
+        stats: result.stats,
+        staleness: None,
+    })
 }

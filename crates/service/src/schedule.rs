@@ -282,7 +282,7 @@ impl Scheduler {
                 ServiceError::Problem(p) => ScheduleError::from(p),
                 other => ScheduleError::Problem(other.to_string()),
             })?;
-            for mapping in &result.mappings {
+            for mapping in result.mappings() {
                 if self.window_has_capacity(query, mapping, start, start + duration) {
                     let deductions = self.plan_deductions(query, mapping);
                     let id = self.next_id;

@@ -16,8 +16,9 @@
 use netgraph::{AttrValue, Direction, Network, NodeId};
 use service::cache::network_fingerprint;
 use service::{
-    DeltaMutation, DirtySet, FeedConfig, FeedSnapshot, FeedState, NetEmbedService, QueryRequest,
-    RegistryDelta, RegistryFeed, ServiceConfig, ServiceError, ShedReason, StalenessPolicy,
+    AdmissionPolicy, DeltaMutation, DirtySet, FeedConfig, FeedSnapshot, FeedState, NetEmbedService,
+    QueryRequest, RegistryDelta, RegistryFeed, ServiceConfig, ServiceError, ShedMode, ShedReason,
+    StalenessPolicy,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -330,6 +331,41 @@ fn block_policy_sheds_any_degraded_answer() {
     assert!(svc.submit(&req).is_ok(), "recovered feed serves again");
 }
 
+/// One staleness rule on both paths: a response that never ran — here
+/// a `Block` shed degraded to a timed-out `Inconclusive` — carries no
+/// [`service::Staleness`] marker and a zero `staleness_lag`, whether
+/// the direct path or the planner shed it.
+#[test]
+fn degraded_shed_carries_no_staleness_marker_on_either_path() {
+    let svc = NetEmbedService::with_config(
+        ServiceConfig::default()
+            .staleness(StalenessPolicy::Block)
+            .admission(AdmissionPolicy::default().shed(ShedMode::DegradeInconclusive)),
+    );
+    svc.registry().register("h", path_host());
+    let req = request("h");
+    let mut stream: VecDeque<RegistryDelta> = VecDeque::new();
+    stream.push_back(cpu_delta(2, 0, 4.0));
+    let config = FeedConfig {
+        gap_patience: u32::MAX,
+        ..FeedConfig::default()
+    };
+    let mut feed = RegistryFeed::new(stream, || -> Option<FeedSnapshot> { None }, config);
+    assert_eq!(feed.pump(&svc), FeedState::CatchingUp);
+    assert_eq!(svc.feed_status().lag(), 3);
+
+    let direct = svc.submit(&req).unwrap();
+    let planned = svc.planner().run(&req).unwrap();
+    for (path, resp) in [("submit", &direct), ("planner", &planned)] {
+        assert!(
+            matches!(resp.outcome, netembed::Outcome::Inconclusive) && resp.stats.timed_out,
+            "{path}: a degraded shed is a timed-out Inconclusive"
+        );
+        assert_eq!(resp.staleness, None, "{path}: a shed response never ran");
+        assert_eq!(resp.stats.staleness_lag, 0, "{path}");
+    }
+}
+
 /// Build a fresh filter for `req` against the registry's *current*
 /// model of `host` — the ground truth a repaired cache entry must be
 /// bitwise equal to.
@@ -573,6 +609,35 @@ fn removal_only_churn_patches_without_a_single_rebuild() {
     let telemetry = svc.telemetry();
     assert_eq!(telemetry.filter_cache_patches, rounds as u64);
     assert_eq!(telemetry.filter_cache_patch_rebuilds, 0);
+}
+
+/// Request-scoped repair is bounded by the request's budget: a submit
+/// whose budget is already spent times out without patching or
+/// rebuilding, and leaves the superseded entry for the next submit,
+/// which patches it.
+#[test]
+fn zero_budget_submit_leaves_the_patch_to_the_next_submit() {
+    let svc = NetEmbedService::new();
+    svc.registry().register("h", churn_ring());
+    let req = request("h");
+    svc.submit(&req).unwrap();
+    degrade_one(&svc, 0);
+
+    let mut spent = req.clone();
+    spent.options.timeout = Some(std::time::Duration::ZERO);
+    let resp = svc.submit(&spent).unwrap();
+    assert!(matches!(resp.outcome, netembed::Outcome::Inconclusive));
+    assert!(resp.stats.timed_out);
+    assert_eq!(
+        (svc.cache().patches(), svc.cache().patch_rebuilds()),
+        (0, 0),
+        "a spent budget must not patch"
+    );
+
+    let warm = svc.submit(&req).unwrap();
+    assert_eq!(warm.stats.patches, 1);
+    assert_eq!(svc.cache().patches(), 1);
+    assert!(*cached_filter(&svc, &req) == fresh_filter(&svc, &req));
 }
 
 /// The churn gate through the planner: a group's repair is credited to
