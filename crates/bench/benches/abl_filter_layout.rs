@@ -64,8 +64,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 use topogen::{clique_query, QueryWorkload};
 
-/// Bounded enumeration cap (mirrors fig13's `UpTo` bound; keeps clique
-/// scenarios finite).
+/// Bounded enumeration cap: every search stops at this many matches
+/// (`SearchMode::UpTo`), which keeps the clique scenarios finite.
 const MATCH_CAP: usize = 2000;
 /// Samples per measurement; the median is reported. Odd and generous:
 /// the µs-scale fig11 searches need the extra samples for a stable

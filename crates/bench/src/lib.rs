@@ -1,15 +1,14 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Shared fixtures for the ablation benches.
 //!
-//! Each `benches/figXX_*.rs` target regenerates one figure of the paper at
-//! a reduced, benchmark-friendly scale (Criterion needs many iterations
-//! per point, so the full 296-site trace would take hours). The harness
-//! binary (`cargo run -p harness --release -- <exp>`) produces the
-//! full-scale CSV series; these benches track regressions on the same
-//! workload shapes.
+//! The crate holds three ablations, each writing a committed
+//! `BENCH_*.json` at the workspace root: `abl_filter_layout` (filter
+//! layout and search scratch, `BENCH_filter.json`), `abl_hierarchy`
+//! (flat build vs. the substrate hierarchy, `BENCH_scale.json`) and
+//! `abl_churn` (filter patching under model churn, `BENCH_churn.json`).
+//! The paper's figures are regenerated by the experiment harness
+//! (`cargo run -p harness --release -- list`), at any `--scale`.
 
-use netembed::{Algorithm, Engine, Options, SearchMode};
 use netgraph::Network;
-use std::time::Duration;
 use topogen::{subgraph_query, PlanetlabParams, QueryWorkload, SubgraphParams};
 
 /// Benchmark-scale PlanetLab-like host (60 sites ≈ 1/5 of the trace).
@@ -43,24 +42,4 @@ pub fn planted(host: &Network, n: usize, seed: u64) -> QueryWorkload {
         },
         &mut topogen::rng(seed),
     )
-}
-
-/// One timed engine run (the unit every benchmark iterates).
-pub fn embed_once(
-    host: &Network,
-    wl: &QueryWorkload,
-    algorithm: Algorithm,
-    mode: SearchMode,
-) -> usize {
-    let engine = Engine::new(host);
-    let options = Options {
-        algorithm,
-        mode,
-        timeout: Some(Duration::from_secs(30)),
-        ..Options::default()
-    };
-    engine
-        .embed(&wl.query, &wl.constraint, &options)
-        .map(|r| r.mappings.len())
-        .unwrap_or(0)
 }

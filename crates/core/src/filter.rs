@@ -798,23 +798,6 @@ impl FilterMatrix {
         &self.base[v.index()]
     }
 
-    /// Union of every query node's base candidate set: the host nodes
-    /// this filter can reference at all. Every cell entry is a base
-    /// candidate of its query node and every cell key is a base
-    /// candidate of its predecessor, so a host mutation whose dirty
-    /// nodes avoid this set cannot invalidate any candidate the filter
-    /// holds — the soundness condition for the service layer's
-    /// epoch-promotion of cached filters (a mutation may still *add*
-    /// feasible candidates outside this set; promotion is deliberately
-    /// conservative about those, matching serve-stale semantics).
-    pub fn touched_hosts(&self) -> NodeBitSet {
-        let mut out = NodeBitSet::new(self.base.first().map_or(0, |b| b.capacity()));
-        for b in &self.base {
-            out.union_with(b);
-        }
-        out
-    }
-
     /// Cell `F[(vj, rj, vi)]` for query edge `vj → vi` (or the undirected
     /// edge `{vj, vi}`): candidates for `vi`, sorted ascending. Empty
     /// slice when absent. O(1): two table indexings, no hashing.

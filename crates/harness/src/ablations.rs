@@ -1,8 +1,8 @@
-//! Ablation experiments for the design choices DESIGN.md calls out:
-//! Lemma-1 ordering, the LNS memo cache (F̄ analogue), the parallel ECF
-//! fan-out, and the two LNS heuristics.
+//! Ablation experiments for the design choices in the experiment index
+//! that `harness list` prints: Lemma-1 ordering, the LNS memo cache (F̄
+//! analogue), the parallel ECF fan-out, and the two LNS heuristics.
 
-use crate::common::{mean_ci, run_once, Config, Sample};
+use crate::common::{mean_ci, outln, run_once, Config, Sample};
 use netembed::lns::LnsConfig;
 use netembed::{Algorithm, Engine, NodeOrder, Options, SearchMode};
 use topogen::{
@@ -13,8 +13,8 @@ use topogen::{
 /// `abl-order`: empirical Lemma 1 — ECF all-matches under four node
 /// orderings. Ascending should visit the fewest permutation-tree nodes.
 pub fn abl_order(cfg: &Config) {
-    println!("# abl-order: ECF node-ordering ablation (Lemma 1)");
-    println!("experiment,series,x,mean_ms,ci95_ms,n,nodes_visited_mean");
+    outln!("# abl-order: ECF node-ordering ablation (Lemma 1)");
+    outln!("experiment,series,x,mean_ms,ci95_ms,n,nodes_visited_mean");
     let host = cfg.planetlab();
     let orders: [(&str, NodeOrder); 4] = [
         ("ascending", NodeOrder::AscendingCandidates),
@@ -22,7 +22,11 @@ pub fn abl_order(cfg: &Config) {
         ("input", NodeOrder::InputOrder),
         ("random", NodeOrder::Random(cfg.seed)),
     ];
-    for n in [8usize, 16, 24, 32] {
+    // Small scales shrink the host below the larger sizes: skip those.
+    for n in [8usize, 16, 24, 32]
+        .into_iter()
+        .filter(|&n| n <= host.node_count())
+    {
         let queries: Vec<_> = (0..cfg.reps)
             .map(|r| {
                 subgraph_query(
@@ -62,7 +66,7 @@ pub fn abl_order(cfg: &Config) {
             }
             let (mean, ci) = mean_ci(&samples);
             let visited_mean = visited.iter().sum::<f64>() / visited.len().max(1) as f64;
-            println!(
+            outln!(
                 "abl-order,{label},{n},{mean:.2},{ci:.2},{},{visited_mean:.0}",
                 samples.len()
             );
@@ -73,8 +77,8 @@ pub fn abl_order(cfg: &Config) {
 /// `abl-negcache`: LNS with and without the constraint-evaluation memo
 /// cache (the lazily-built analogue of the paper's F/F̄ matrices).
 pub fn abl_negcache(cfg: &Config) {
-    println!("# abl-negcache: LNS memo cache on/off (clique queries)");
-    println!("experiment,series,x,mean_ms,ci95_ms,n,evals_mean");
+    outln!("# abl-negcache: LNS memo cache on/off (clique queries)");
+    outln!("experiment,series,x,mean_ms,ci95_ms,n,evals_mean");
     let host = cfg.planetlab();
     let max_k = cfg.scaled(10, 5);
     for k in 3..=max_k {
@@ -108,7 +112,7 @@ pub fn abl_negcache(cfg: &Config) {
             }
             let (mean, ci) = mean_ci(&samples);
             let evals_mean = evals.iter().sum::<f64>() / evals.len().max(1) as f64;
-            println!(
+            outln!(
                 "abl-negcache,{label},{k},{mean:.2},{ci:.2},{},{evals_mean:.0}",
                 samples.len()
             );
@@ -118,8 +122,8 @@ pub fn abl_negcache(cfg: &Config) {
 
 /// `abl-par`: parallel ECF speedup versus thread count.
 pub fn abl_par(cfg: &Config) {
-    println!("# abl-par: parallel ECF scaling (all-matches, subgraph query)");
-    println!("experiment,series,x,mean_ms,ci95_ms,n,speedup_vs_1");
+    outln!("# abl-par: parallel ECF scaling (all-matches, subgraph query)");
+    outln!("experiment,series,x,mean_ms,ci95_ms,n,speedup_vs_1");
     let host = cfg.planetlab();
     let n = (host.node_count() as f64 * 0.25) as usize;
     let queries: Vec<_> = (0..cfg.reps)
@@ -156,7 +160,7 @@ pub fn abl_par(cfg: &Config) {
             base_ms = Some(mean);
         }
         let speedup = base_ms.map(|b| b / mean).unwrap_or(1.0);
-        println!(
+        outln!(
             "abl-par,threads,{threads},{mean:.2},{ci:.2},{},{speedup:.2}",
             samples.len()
         );
@@ -166,8 +170,8 @@ pub fn abl_par(cfg: &Config) {
 /// `abl-lns`: the two LNS heuristics (max-degree seed, most-constrained
 /// neighbor) toggled independently on composite queries.
 pub fn abl_lns(cfg: &Config) {
-    println!("# abl-lns: LNS heuristic ablation (composite queries, first match)");
-    println!("experiment,series,x,mean_ms,ci95_ms,n,timeouts");
+    outln!("# abl-lns: LNS heuristic ablation (composite queries, first match)");
+    outln!("experiment,series,x,mean_ms,ci95_ms,n,timeouts");
     let host = cfg.planetlab();
     let variants: [(&str, LnsConfig); 4] = [
         ("both-on", LnsConfig::default()),
@@ -233,7 +237,7 @@ pub fn abl_lns(cfg: &Config) {
                 .collect();
             let (mean, ci) = mean_ci(&samples);
             let timeouts = samples.iter().filter(|s| s.timed_out).count();
-            println!(
+            outln!(
                 "abl-lns,{label},{},{mean:.2},{ci:.2},{},{timeouts}",
                 spec.node_count(),
                 samples.len()

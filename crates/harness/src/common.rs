@@ -22,8 +22,32 @@ use netembed::{
     Problem, ProblemError, SearchMode, SearchStats, StealPolicy,
 };
 use netgraph::Network;
+use std::io::{ErrorKind, Write};
 use std::time::{Duration, Instant};
 use topogen::{BriteParams, PlanetlabParams};
+
+/// `println!` for the harness's CSV output, written through
+/// [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::common::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+pub(crate) use outln;
+
+/// Write to stdout. When the reader has gone away (`harness all | head`)
+/// the rest of the output is unwanted, so the harness exits 0 quietly;
+/// any other write error exits 2.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write output: {e}");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// Global experiment configuration from the CLI.
 #[derive(Debug, Clone)]
@@ -106,8 +130,8 @@ pub fn mean_ci(samples: &[Sample]) -> (f64, f64) {
 
 /// Print the standard CSV header.
 pub fn print_header(title: &str) {
-    println!("# {title}");
-    println!("experiment,series,x,mean_ms,ci95_ms,n,timeouts,solutions_mean");
+    outln!("# {title}");
+    outln!("experiment,series,x,mean_ms,ci95_ms,n,timeouts,solutions_mean");
 }
 
 /// Emit one aggregated row.
@@ -119,7 +143,7 @@ pub fn emit(exp: &str, series: &str, x: impl std::fmt::Display, samples: &[Sampl
     } else {
         samples.iter().map(|s| s.solutions as f64).sum::<f64>() / samples.len() as f64
     };
-    println!(
+    outln!(
         "{exp},{series},{x},{mean:.2},{ci:.2},{n},{timeouts},{sols:.1}",
         n = samples.len()
     );

@@ -1,10 +1,10 @@
 //! The per-figure experiments (§VII of the paper).
 //!
 //! Each function regenerates one table/figure as CSV rows (see
-//! [`crate::common`] for the schema). EXPERIMENTS.md records how the output
-//! maps onto the paper's plots.
+//! [`crate::common`] for the schema). The experiment index that
+//! `harness list` prints maps each experiment onto the paper's plots.
 
-use crate::common::{algo_series, emit, print_header, run_once, Config, Sample};
+use crate::common::{algo_series, emit, outln, print_header, run_once, Config, Sample};
 use netembed::{Algorithm, Engine, Options, Outcome, Problem, SearchMode};
 use netgraph::Network;
 use topogen::{
@@ -332,11 +332,11 @@ pub fn fig14(irregular: bool, cfg: &Config) {
 /// Figure 15: probability distribution of result types (§VII-E) across the
 /// workload classes, under a fixed (short) timeout.
 pub fn fig15(cfg: &Config) {
-    println!(
+    outln!(
         "# fig15: outcome distribution under timeout {:?}",
         cfg.timeout
     );
-    println!("experiment,series,class,p_all,p_some,p_none,p_inconclusive,n");
+    outln!("experiment,series,class,p_all,p_some,p_none,p_inconclusive,n");
     let host = cfg.planetlab();
 
     // Workload classes, each a vector of (query, constraint).
@@ -400,7 +400,7 @@ pub fn fig15(cfg: &Config) {
                 }
             }
             let n = workloads.len().max(1) as f64;
-            println!(
+            outln!(
                 "fig15,{label},{class},{:.2},{:.2},{:.2},{:.2},{}",
                 counts[0] as f64 / n,
                 counts[1] as f64 / n,
@@ -415,8 +415,8 @@ pub fn fig15(cfg: &Config) {
 /// §VII-F: NETEMBED (ECF, LNS) versus the re-implemented prior techniques
 /// (simulated annealing, genetic, stress-greedy) on identical instances.
 pub fn sec7f(cfg: &Config) {
-    println!("# sec7f: baselines comparison (small feasible instances)");
-    println!("experiment,series,x,mean_ms,ci95_ms,n,success_rate,notes");
+    outln!("# sec7f: baselines comparison (small feasible instances)");
+    outln!("experiment,series,x,mean_ms,ci95_ms,n,success_rate,notes");
     let host = cfg.planetlab();
     for n in [6usize, 10, 14, 18] {
         let queries = planted_queries(&host, n, cfg);
@@ -439,7 +439,7 @@ pub fn sec7f(cfg: &Config) {
             let success = samples.iter().filter(|s| s.solutions > 0).count() as f64
                 / samples.len().max(1) as f64;
             let (mean, ci) = crate::common::mean_ci(&samples);
-            println!(
+            outln!(
                 "sec7f,{label},{n},{mean:.2},{ci:.2},{},{success:.2},complete",
                 samples.len()
             );
@@ -459,7 +459,7 @@ pub fn sec7f(cfg: &Config) {
                 hits += ok as usize;
             }
             let (mean, ci) = crate::common::mean_ci(&times);
-            println!(
+            outln!(
                 "sec7f,{label},{n},{mean:.2},{ci:.2},{},{:.2},heuristic",
                 times.len(),
                 hits as f64 / queries.len().max(1) as f64

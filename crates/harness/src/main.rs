@@ -9,7 +9,7 @@ mod ablations;
 mod common;
 mod experiments;
 
-use common::Config;
+use common::{outln, Config};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -93,7 +93,7 @@ fn bad_flag(flag: &str) -> ! {
 
 fn run(exp: &str, cfg: &Config) {
     match exp {
-        "list" => print!("{USAGE}"),
+        "list" => common::write_stdout(format_args!("{USAGE}")),
         "fig8a" | "fig8b" | "fig8c" | "fig9a" | "fig9b" => experiments::fig08_09(exp, cfg),
         "fig10" => experiments::fig10(cfg),
         "fig11" => experiments::fig11_12(false, cfg),
@@ -130,7 +130,7 @@ fn run(exp: &str, cfg: &Config) {
                 "abl-lns",
             ] {
                 run(e, cfg);
-                println!();
+                outln!("");
             }
         }
         other => {

@@ -41,7 +41,7 @@
 //! chain: `dirty_between` across them returns `None`, which downstream
 //! consumers must treat as "anything may have changed" (full rebuild).
 
-use netgraph::{Network, NodeBitSet, NodeId};
+use netgraph::Network;
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,15 +100,6 @@ impl DirtySet {
     /// In-place union with `other`.
     pub fn union_with(&mut self, other: &DirtySet) {
         self.ids.extend(other.ids.iter().copied());
-    }
-
-    /// True when any dirty node is a member of `nodes` (ids beyond the
-    /// bitset's capacity cannot be members and are skipped) — the
-    /// cache-promotion probe: a filter whose candidate union does not
-    /// intersect the accumulated dirty set cannot have lost a cached
-    /// candidate.
-    pub fn intersects(&self, nodes: &NodeBitSet) -> bool {
-        self.ids.iter().any(|&id| nodes.contains(NodeId(id)))
     }
 
     /// Dirty node ids in ascending order.
@@ -333,7 +324,7 @@ impl Default for ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::Direction;
+    use netgraph::{Direction, NodeId};
 
     fn net(n: usize) -> Network {
         let mut g = Network::new(Direction::Undirected);
@@ -509,11 +500,6 @@ mod tests {
         d.union_with(&DirtySet::from_ids([5, 7]));
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 5, 7, 9]);
         assert!(DirtySet::new().is_empty());
-
-        // Bitset intersection probe: out-of-capacity ids never match.
-        let members = NodeBitSet::from_iter(8, [NodeId(1), NodeId(7)]);
-        assert!(d.intersects(&members));
-        assert!(!DirtySet::from_ids([2, 3, 100]).intersects(&members));
     }
 
     #[test]
