@@ -21,7 +21,12 @@
 //! host [`NodeBitSet`]s that restrict the exact filter build
 //! ([`FilterMatrix::build_restricted`](crate::FilterMatrix)), so the
 //! exhaustive search touches a small fraction of the full
-//! `O(|VQ|·|VR|)` matrix on large substrates.
+//! `O(|VQ|·|VR|)` matrix on large substrates. That build pays for the
+//! survivors, not the substrate: it admits only allowed host nodes,
+//! evaluates only host edges incident to admitted anchors, and lays out
+//! one row per base member and one entry per match — the only
+//! substrate-sized work left is word-level bitset sweeps
+//! (`O(|VQ|·⌈|VR|/64⌉ + |EQ|·⌈|ER|/64⌉)`).
 
 use std::collections::BTreeMap;
 

@@ -14,11 +14,14 @@
 //!   query nodes ascending by candidate count (Lemma 1), and runs a DFS of
 //!   the permutation tree that intersects filters at every extension.
 //!   Complete: finds *all* feasible embeddings. The filter is stored as a
-//!   flat CSR arena — a dense `(vj, vi)` pair table over per-`rj` offset
-//!   rows into one contiguous candidate vector — so cell lookup is O(1)
-//!   with no hashing, and dense cells carry bitset mirrors that the DFS
-//!   intersects word-by-word into per-depth reusable scratch masks
-//!   (zero allocation on the hot path). Construction itself parallelizes
+//!   flat CSR arena — a dense `(vj, vi)` pair table over offset rows, one
+//!   per member of the base set `base[vj]`, into one contiguous candidate
+//!   vector — so cell lookup is O(1) with no hashing (a rank within
+//!   `base[vj]` picks the row), a build lays out rows only for the host
+//!   nodes that anchor matches, and dense cells carry bitset mirrors that
+//!   the DFS intersects word-by-word into per-depth reusable scratch
+//!   masks (zero allocation on the hot path). Construction itself walks
+//!   host adjacency from the admitted anchors only, and parallelizes
 //!   over query edges on a persistent worker pool
 //!   ([`FilterMatrix::build_par_pooled`]) with a bitwise-identical
 //!   result. See [`filter`] for the layout and

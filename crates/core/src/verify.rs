@@ -99,20 +99,28 @@ pub fn check_mapping(problem: &Problem<'_>, mapping: &Mapping) -> Result<(), Ver
             want: nq,
         });
     }
-    // Injectivity + range.
-    let mut owner: Vec<Option<NodeId>> = vec![None; nr];
-    for (q, r) in mapping.iter() {
-        if r.index() >= nr {
-            return Err(VerifyError::BadHostNode(r));
-        }
-        if let Some(prev) = owner[r.index()] {
-            return Err(VerifyError::NotInjective {
-                a: prev,
-                b: q,
-                host: r,
-            });
-        }
-        owner[r.index()] = Some(q);
+    // Range + injectivity, reported for the first query node (in mapping
+    // order) whose host is out of range or repeats an earlier one. Sorting
+    // the `(host, query)` pairs puts each host's images side by side,
+    // earliest first, so the first repeat is the smallest second-or-later
+    // image and its owner is the image just before it — O(nq log nq),
+    // nothing sized by the host.
+    let bad = mapping.iter().find(|&(_, r)| r.index() >= nr);
+    let mut by_host: Vec<(NodeId, NodeId)> = mapping.iter().map(|(q, r)| (r, q)).collect();
+    by_host.sort_unstable();
+    let repeat = by_host
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .min_by_key(|w| w[1].1);
+    if let Some((_, r)) = bad.filter(|&(q, _)| repeat.is_none_or(|w| q < w[1].1)) {
+        return Err(VerifyError::BadHostNode(r));
+    }
+    if let Some(w) = repeat {
+        return Err(VerifyError::NotInjective {
+            a: w[0].1,
+            b: w[1].1,
+            host: w[0].0,
+        });
     }
     // Node constraints.
     for q in problem.query.node_ids() {
@@ -200,6 +208,42 @@ mod tests {
             check_mapping(&p, &m),
             Err(VerifyError::NotInjective { .. })
         ));
+    }
+
+    #[test]
+    fn reports_the_first_repeat_in_mapping_order() {
+        // Six edge-less query nodes over six host nodes. Host 3 repeats
+        // at positions 2 and 5 (owner 0), host 0 at position 3 (owner 1),
+        // and position 4 is out of range: the first repeat in mapping
+        // order is position 2, although host 0 sorts before host 3.
+        let mut q = Network::new(Direction::Undirected);
+        for i in 0..6 {
+            q.add_node(format!("q{i}"));
+        }
+        let mut h = Network::new(Direction::Undirected);
+        for i in 0..6 {
+            h.add_node(format!("h{i}"));
+        }
+        let p = Problem::new(&q, &h, "true").unwrap();
+        let ids = |v: &[u32]| Mapping::new(v.iter().map(|&i| NodeId(i)).collect());
+        assert_eq!(
+            check_mapping(&p, &ids(&[3, 0, 3, 0, 99, 3])),
+            Err(VerifyError::NotInjective {
+                a: NodeId(0),
+                b: NodeId(2),
+                host: NodeId(3),
+            })
+        );
+        // An out-of-range id before the first repeat wins.
+        assert_eq!(
+            check_mapping(&p, &ids(&[3, 99, 3, 0, 1, 2])),
+            Err(VerifyError::BadHostNode(NodeId(99)))
+        );
+        // A repeated out-of-range id is reported as out of range.
+        assert_eq!(
+            check_mapping(&p, &ids(&[0, 99, 99, 1, 2, 3])),
+            Err(VerifyError::BadHostNode(NodeId(99)))
+        );
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! base sets), so equality means the layouts match word for word, and a
 //! search over either filter takes exactly the same path.
 //!
+//! The restricted build (`FilterMatrix::build_restricted`, the
+//! hierarchical search's expansion step) is held to the flat build: each
+//! of its cells must be the flat cell cut to the allowed host nodes, on
+//! random allowed sets including empty and full ones, and its pooled
+//! build must be bitwise-identical to it.
+//!
 //! The work-stealing parallel DFS is held to the same standard: at every
 //! tested thread count (env-overridable via `NETEMBED_TEST_WORKERS`, so
 //! CI can force a skewed 4-worker pool on a 1-core box) and under an
@@ -24,7 +30,7 @@ use netembed::{
     ecf, parallel, CollectAll, Deadline, FilterMatrix, Mapping, NodeOrder, ParallelScratch,
     Problem, SearchScratch, SearchStats, StealPolicy, WorkerPool,
 };
-use netgraph::{Direction, Network, NodeId};
+use netgraph::{Direction, Network, NodeBitSet, NodeId};
 use proptest::prelude::*;
 
 /// Thread counts exercised by the stealing properties. CI pins this to a
@@ -313,6 +319,130 @@ fn check_steal_case(
     Ok(())
 }
 
+/// Restricted-build oracle: `build_restricted` over per-query-node
+/// `allowed` sets is the flat build filtered to anchors `rj ∈
+/// allowed[vj]` and candidates `r2 ∈ allowed[vi]`, cell for cell with
+/// `rj` over every host node (so lookups outside the base sets are hit
+/// too); its base sets are the anchors of its non-empty cells (the
+/// allowed part of the admissible set for edge-less query nodes); and
+/// the pooled build at every tested thread count is `==` to it. Each
+/// case runs with the drawn `masks` (per query node: empty, full or
+/// random bits), with every set empty and with every set full — where
+/// the restricted build must equal the flat build outright.
+fn check_restricted_case(
+    dir: Direction,
+    nr: usize,
+    hedges: &[(u32, u32, u32)],
+    nq: usize,
+    qedges: &[(u32, u32)],
+    thr: u32,
+    masks: &[(u8, u64)],
+) -> Result<(), TestCaseError> {
+    let (host, query) = build_nets(dir, nr, hedges, nq, qedges);
+    prop_assume!(query.node_count() <= host.node_count());
+    let constraint = format!("rEdge.d <= {thr}.0");
+    let problem = Problem::new(&query, &host, &constraint).unwrap();
+    let mut dl = Deadline::unlimited();
+    let flat = FilterMatrix::build(&problem, &mut dl, &mut SearchStats::default()).unwrap();
+
+    let drawn: Vec<NodeBitSet> = query
+        .node_ids()
+        .map(|v| match masks[v.index() % masks.len()] {
+            (0, _) => NodeBitSet::new(nr),
+            (1, _) => NodeBitSet::full(nr),
+            (_, bits) => NodeBitSet::from_iter(
+                nr,
+                host.node_ids()
+                    .filter(|r| bits >> (r.index() % 64) & 1 == 1),
+            ),
+        })
+        .collect();
+    let empty = vec![NodeBitSet::new(nr); nq];
+    let full = vec![NodeBitSet::full(nr); nq];
+    for (allowed, everything) in [(&drawn, false), (&empty, false), (&full, true)] {
+        let mut s_res = SearchStats::default();
+        let res = FilterMatrix::build_restricted(&problem, allowed, &mut dl, &mut s_res).unwrap();
+        let mut base: Vec<NodeBitSet> = vec![NodeBitSet::new(nr); nq];
+        let (mut cells, mut entries) = (0usize, 0usize);
+        for vj in query.node_ids() {
+            for vi in query.node_ids() {
+                for rj in host.node_ids() {
+                    let cases = [
+                        ("fwd", res.fwd_cell(vj, rj, vi), flat.fwd_cell(vj, rj, vi)),
+                        ("rev", res.rev_cell(vj, rj, vi), flat.rev_cell(vj, rj, vi)),
+                    ];
+                    for (table, got, whole) in cases {
+                        let want: Vec<NodeId> = whole
+                            .iter()
+                            .copied()
+                            .filter(|&r2| {
+                                allowed[vj.index()].contains(rj) && allowed[vi.index()].contains(r2)
+                            })
+                            .collect();
+                        prop_assert_eq!(
+                            got,
+                            want.as_slice(),
+                            "{} cell ({}, {}, {})",
+                            table,
+                            vj,
+                            rj,
+                            vi
+                        );
+                        if !want.is_empty() {
+                            cells += 1;
+                            entries += want.len();
+                            base[vj.index()].insert(rj);
+                        }
+                    }
+                    let view = res.fwd_view(vj, rj, vi);
+                    prop_assert_eq!(view.slice, res.fwd_cell(vj, rj, vi));
+                    if let Some(bits) = view.bits {
+                        prop_assert_eq!(&bits.iter().collect::<Vec<_>>(), &view.slice);
+                    }
+                }
+            }
+        }
+        for v in query.node_ids() {
+            if query.total_degree(v) == 0 {
+                base[v.index()] = flat.base(v).clone();
+                base[v.index()].intersect_with(&allowed[v.index()]);
+            }
+            prop_assert_eq!(res.base(v), &base[v.index()], "base set of {}", v);
+            prop_assert_eq!(res.candidate_count(v), base[v.index()].len());
+        }
+        prop_assert_eq!(res.cell_count(), cells);
+        prop_assert_eq!(res.entry_count(), entries);
+        if everything {
+            prop_assert!(
+                res == flat,
+                "an all-allowed restricted build differs from the flat build"
+            );
+        }
+
+        let mut pool = WorkerPool::new();
+        for threads in steal_threads() {
+            let mut s_par = SearchStats::default();
+            let par = FilterMatrix::build_par_pooled(
+                &problem,
+                Some(allowed),
+                threads,
+                &mut dl,
+                &mut s_par,
+                &mut pool,
+            )
+            .unwrap();
+            prop_assert!(
+                par == res,
+                "pooled restricted build diverges at {} threads",
+                threads
+            );
+            prop_assert_eq!(s_par.constraint_evals, s_res.constraint_evals);
+            prop_assert_eq!(s_par.filter_cells, s_res.filter_cells);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -354,6 +484,33 @@ proptest! {
             .flat_map(|u| ((u + 1)..nr as u32).map(move |v| (u, v, 10)))
             .collect();
         check_case(Direction::Undirected, nr, &hedges, nq, &qedges, 45)?;
+    }
+
+    /// Undirected restricted builds are the flat build filtered to the
+    /// allowed sets.
+    #[test]
+    fn restricted_equals_filtered_flat_undirected(
+        nr in 3usize..8,
+        hedges in proptest::collection::vec((0u32..8, 0u32..8, 0u32..50), 1..20),
+        nq in 2usize..5,
+        qedges in proptest::collection::vec((0u32..5, 0u32..5), 1..8),
+        thr in 5u32..45,
+        masks in proptest::collection::vec((0u8..4, any::<u64>()), 1..5),
+    ) {
+        check_restricted_case(Direction::Undirected, nr, &hedges, nq, &qedges, thr, &masks)?;
+    }
+
+    /// Directed restricted builds, reverse table included.
+    #[test]
+    fn restricted_equals_filtered_flat_directed(
+        nr in 3usize..8,
+        hedges in proptest::collection::vec((0u32..8, 0u32..8, 0u32..50), 1..20),
+        nq in 2usize..5,
+        qedges in proptest::collection::vec((0u32..5, 0u32..5), 1..8),
+        thr in 5u32..45,
+        masks in proptest::collection::vec((0u8..4, any::<u64>()), 1..5),
+    ) {
+        check_restricted_case(Direction::Directed, nr, &hedges, nq, &qedges, thr, &masks)?;
     }
 }
 
