@@ -4,7 +4,9 @@
 //! Measurements per scenario:
 //!
 //! * **build** — first-stage filter construction only
-//!   (`HashFilterMatrix::build` vs `FilterMatrix::build`);
+//!   (`HashFilterMatrix::build` vs `FilterMatrix::build`), beside the
+//!   build's constraint evaluations (`build_evals`), so
+//!   `build_csr_ns / build_evals` bounds the cost of one evaluation;
 //! * **build_par** — the same construction via
 //!   `FilterMatrix::build_par_pooled` at [`PAR_THREADS`] threads on one
 //!   reused `WorkerPool` whose threads park between builds (the engine's
@@ -100,6 +102,9 @@ struct Row {
     solutions: usize,
     build_hash_ns: u64,
     build_csr_ns: u64,
+    /// Constraint evaluations of one build (`constraint_evals`): with
+    /// `build_csr_ns`, the cost per evaluation.
+    build_evals: u64,
     build_par_ns: u64,
     search_hash_ns: u64,
     search_csr_ns: u64,
@@ -132,6 +137,11 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let f = FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap();
         f.cell_count() as u64
     });
+    let build_evals = {
+        let mut stats = SearchStats::default();
+        FilterMatrix::build(&problem, &mut Deadline::unlimited(), &mut stats).unwrap();
+        stats.constraint_evals
+    };
     let mut pool = WorkerPool::new();
     let build_par_ns = median_ns(|| {
         let mut dl = Deadline::unlimited();
@@ -310,6 +320,7 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         solutions: n_csr,
         build_hash_ns,
         build_csr_ns,
+        build_evals,
         build_par_ns,
         search_hash_ns,
         search_csr_ns,
@@ -416,7 +427,8 @@ fn write_json(rows: &[Row], path: &PathBuf) {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"nq\": {}, \"nr\": {}, \"solutions\": {}, \
-             \"build_hashmap_ns\": {}, \"build_csr_ns\": {}, \"build_par_ns\": {}, \
+             \"build_hashmap_ns\": {}, \"build_csr_ns\": {}, \"build_evals\": {}, \
+             \"build_par_ns\": {}, \
              \"search_hashmap_ns\": {}, \"search_csr_ns\": {}, \"search_scratch_ns\": {}, \
              \"search_steal_ns\": {}, \
              \"search_pool_cold_ns\": {}, \"search_pool_warm_ns\": {}, \
@@ -433,6 +445,7 @@ fn write_json(rows: &[Row], path: &PathBuf) {
             r.solutions,
             r.build_hash_ns,
             r.build_csr_ns,
+            r.build_evals,
             r.build_par_ns,
             r.search_hash_ns,
             r.search_csr_ns,

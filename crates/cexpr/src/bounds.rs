@@ -4,7 +4,7 @@
 //!
 //! A super-node of the coarsened host stands for a *set* of real nodes;
 //! a super-edge for a set of real edges. Instead of a concrete
-//! [`Value`](crate::Value) per attribute, each aggregate carries an
+//! [`Value`] per attribute, each aggregate carries an
 //! [`AttrBounds`]: the numeric range, the reachable booleans, the
 //! (small) set of reachable strings, and whether any member *lacks* the
 //! attribute. Evaluating a compiled constraint against such bounds
@@ -36,6 +36,7 @@
 
 use crate::ast::{BinOp, Func, Object, UnOp};
 use crate::compile::{Compiled, Node};
+use crate::value::Value;
 use netgraph::{AttrId, AttrValue, EdgeId, Network, NodeId};
 use std::sync::Arc;
 
@@ -507,12 +508,16 @@ fn bounds_abs(map: &BoundsMap, attr: AttrId) -> Abs {
     }
 }
 
-fn eval_abs(node: &Node, scope: &AbsScope<'_, '_>) -> Abs {
+fn eval_abs(node: &Node<'_>, scope: &AbsScope<'_, '_>) -> Abs {
     match node {
-        Node::Num(x) => Abs::number(*x),
+        Node::Const(Ok(Value::Num(x))) => Abs::number(*x),
+        Node::Const(Ok(Value::Bool(b))) => Abs::boolean(*b),
         Node::Str(s) => Abs::string(s.clone()),
-        Node::Bool(b) => Abs::boolean(*b),
         Node::Attr(o, a) => load_abs(scope, *o, *a),
+        // Other constants and host leaves come from binding only.
+        Node::Const(_) | Node::HostOp { .. } => {
+            unreachable!("abstract evaluation walks compiled, unbound trees")
+        }
         Node::Unary(op, e) => {
             let v = eval_abs(e, scope);
             let mut out = Abs::bottom();
@@ -720,7 +725,7 @@ fn abs_binary(op: BinOp, l: &Abs, r: &Abs) -> Abs {
     }
 }
 
-fn abs_call(f: Func, args: &[Node], scope: &AbsScope<'_, '_>) -> Abs {
+fn abs_call(f: Func, args: &[Node<'_>], scope: &AbsScope<'_, '_>) -> Abs {
     match f {
         Func::IsBoundTo => {
             let a = eval_abs(&args[0], scope);

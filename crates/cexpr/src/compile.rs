@@ -1,35 +1,78 @@
 //! Compilation of parsed expressions against a (query, host) network pair,
-//! and the evaluator that runs on the embedding search's hot path.
+//! binding to one query element, and the evaluator that runs on the
+//! embedding search's hot path.
 //!
 //! Compilation resolves every `object.attr` reference to an interned
 //! [`AttrId`] on the owning network's schema — attribute names are hashed
 //! once per query, not once per candidate pair. An attribute name that does
 //! not exist in the owning schema compiles to a reference that always
 //! evaluates to [`Value::Missing`] (the element can never carry it).
+//!
+//! ## Binding
+//!
+//! The filter build evaluates one constraint against many host elements
+//! for the same query element, so [`Compiled::bind_edge`] and
+//! [`Compiled::bind_node`] fix the query side once. Binding folds every
+//! subtree that reads no host element — literals, query attributes,
+//! attribute names a schema lacks, objects the context does not offer —
+//! into the `Result<Value, EvalError>` the evaluator gives it, and turns a
+//! strict operator over a host attribute and such a constant
+//! (`rEdge.maxDelay <= 80.0`, `rNode.region == "eu"`, either side) into a
+//! single leaf: one attribute read and one operator.
+//!
+//! Folding never crosses a short-circuit. A folded subtree stays a node of
+//! the bound tree, raised or read only where the walk reaches it: in
+//! `rEdge.d > 1.0 && vEdge.name < 2.0` with `name` a string, the folded
+//! type error surfaces for exactly the host edges whose guard passes, as
+//! in the unbound walk. A bound evaluation therefore returns what
+//! [`Compiled::eval_edge`] / [`Compiled::eval_node`] return for the same
+//! elements, error for error.
+//!
+//! ## The evaluator
+//!
+//! One tree walker serves bound and one-shot calls alike. Its [`Value`]s
+//! borrow strings from the networks and the compiled tree, so an
+//! evaluation never touches a reference count. One-shot calls walk the
+//! compiled tree and allocate nothing; a binding allocates its folded
+//! tree once, which pays when it serves more than a few host elements.
 
 use crate::ast::{BinOp, Expr, Func, Object, UnOp};
 use crate::value::{EvalError, Value};
-use netgraph::{AttrId, AttrValue, EdgeId, Network, NodeId};
+use netgraph::{AttrId, EdgeId, Network, NodeId};
+use std::sync::Arc;
 
 /// A compiled constraint expression, bound to one query/host schema pair.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    pub(crate) root: Node,
+    pub(crate) root: Node<'static>,
     uses_node_objects: bool,
     uses_edge_objects: bool,
 }
 
-/// Resolved expression node. Mirrors [`Expr`] with attribute references
-/// resolved to `(Object, Option<AttrId>)`.
+/// Resolved expression node. Compilation mirrors [`Expr`] with attribute
+/// references resolved to `(Object, Option<AttrId>)`; binding adds folded
+/// constants and [`Node::HostOp`] leaves.
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
-    Num(f64),
-    Str(std::sync::Arc<str>),
-    Bool(bool),
+pub(crate) enum Node<'a> {
+    /// A number or boolean literal, or a subtree a binding folded: the
+    /// result it gives for every host element.
+    Const(Result<Value<'a>, EvalError>),
+    /// A string literal.
+    Str(Arc<str>),
     Attr(Object, Option<AttrId>),
-    Unary(UnOp, Box<Node>),
-    Binary(BinOp, Box<Node>, Box<Node>),
-    Call(Func, Vec<Node>),
+    Unary(UnOp, Box<Node<'a>>),
+    Binary(BinOp, Box<Node<'a>>, Box<Node<'a>>),
+    Call(Func, Vec<Node<'a>>),
+    /// Bound leaf: the strict operator `op` over host attribute
+    /// `obj.attr` and a folded constant, the attribute on the left when
+    /// `host_left`.
+    HostOp {
+        op: BinOp,
+        obj: Object,
+        attr: AttrId,
+        lit: Value<'a>,
+        host_left: bool,
+    },
 }
 
 /// Evaluation context for edge constraints: one query edge mapped onto one
@@ -69,14 +112,32 @@ pub struct NodeCtx<'a> {
     pub r_node: NodeId,
 }
 
+/// An edge constraint bound to one query edge by [`Compiled::bind_edge`].
+#[derive(Debug, Clone)]
+pub struct BoundEdge<'a> {
+    q: &'a Network,
+    v_edge: EdgeId,
+    v_src: NodeId,
+    v_dst: NodeId,
+    root: Node<'a>,
+}
+
+/// A node constraint bound to one query node by [`Compiled::bind_node`].
+#[derive(Debug, Clone)]
+pub struct BoundNode<'a> {
+    q: &'a Network,
+    v_node: NodeId,
+    root: Node<'a>,
+}
+
 impl Compiled {
     /// Compile `expr` against the two networks' schemas.
     pub fn new(expr: &Expr, q: &Network, r: &Network) -> Compiled {
-        fn resolve(expr: &Expr, q: &Network, r: &Network) -> Node {
+        fn resolve(expr: &Expr, q: &Network, r: &Network) -> Node<'static> {
             match expr {
-                Expr::Num(x) => Node::Num(*x),
-                Expr::Str(s) => Node::Str(std::sync::Arc::from(s.as_str())),
-                Expr::Bool(b) => Node::Bool(*b),
+                Expr::Num(x) => Node::Const(Ok(Value::Num(*x))),
+                Expr::Str(s) => Node::Str(Arc::from(s.as_str())),
+                Expr::Bool(b) => Node::Const(Ok(Value::Bool(*b))),
                 Expr::Attr(o, name) => {
                     let schema = if o.is_virtual() {
                         q.schema()
@@ -126,18 +187,106 @@ impl Compiled {
     /// pair; `Ok(false)` rejects it (including `Missing` at the root);
     /// `Err` reports a malformed query (type error or context misuse).
     pub fn eval_edge(&self, ctx: &EdgeCtx<'_>) -> Result<bool, EvalError> {
-        let v = eval(&self.root, &Scope::Edge(ctx))?;
-        root_bool(v)
+        let scope = Scope::Edge {
+            q: ctx.q,
+            v_edge: ctx.v_edge,
+            v_src: ctx.v_src,
+            v_dst: ctx.v_dst,
+            host: Some((ctx.r, ctx.r_edge, ctx.r_src, ctx.r_dst)),
+        };
+        root_bool(eval(&self.root, &scope)?)
     }
 
     /// Evaluate as a node constraint.
     pub fn eval_node(&self, ctx: &NodeCtx<'_>) -> Result<bool, EvalError> {
-        let v = eval(&self.root, &Scope::Node(ctx))?;
-        root_bool(v)
+        let scope = Scope::Node {
+            q: ctx.q,
+            v_node: ctx.v_node,
+            host: Some((ctx.r, ctx.r_node)),
+        };
+        root_bool(eval(&self.root, &scope)?)
+    }
+
+    /// Bind the edge constraint to query edge `v_edge` of `q`, mapped
+    /// with `v_src` and `v_dst` as its source and target: the query side
+    /// is folded once (see the [module docs](self)), and
+    /// [`BoundEdge::eval`] then gives what [`Compiled::eval_edge`] gives
+    /// for the same elements.
+    pub fn bind_edge<'a>(
+        &'a self,
+        q: &'a Network,
+        v_edge: EdgeId,
+        v_src: NodeId,
+        v_dst: NodeId,
+    ) -> BoundEdge<'a> {
+        let scope = Scope::Edge {
+            q,
+            v_edge,
+            v_src,
+            v_dst,
+            host: None,
+        };
+        BoundEdge {
+            q,
+            v_edge,
+            v_src,
+            v_dst,
+            root: bind(&self.root, &scope),
+        }
+    }
+
+    /// Bind the node constraint to query node `v_node` of `q`; see
+    /// [`Compiled::bind_edge`].
+    pub fn bind_node<'a>(&'a self, q: &'a Network, v_node: NodeId) -> BoundNode<'a> {
+        let scope = Scope::Node {
+            q,
+            v_node,
+            host: None,
+        };
+        BoundNode {
+            q,
+            v_node,
+            root: bind(&self.root, &scope),
+        }
     }
 }
 
-fn root_bool(v: Value) -> Result<bool, EvalError> {
+impl BoundEdge<'_> {
+    /// [`Compiled::eval_edge`] for the bound query edge mapped onto host
+    /// edge `r_edge` of `r`, its source onto `r_src` and its target onto
+    /// `r_dst`.
+    pub fn eval(
+        &self,
+        r: &Network,
+        r_edge: EdgeId,
+        r_src: NodeId,
+        r_dst: NodeId,
+    ) -> Result<bool, EvalError> {
+        let scope = Scope::Edge {
+            q: self.q,
+            v_edge: self.v_edge,
+            v_src: self.v_src,
+            v_dst: self.v_dst,
+            host: Some((r, r_edge, r_src, r_dst)),
+        };
+        root_bool(eval(&self.root, &scope)?)
+    }
+}
+
+impl BoundNode<'_> {
+    /// [`Compiled::eval_node`] for the bound query node mapped onto host
+    /// node `r_node` of `r`.
+    pub fn eval(&self, r: &Network, r_node: NodeId) -> Result<bool, EvalError> {
+        let scope = Scope::Node {
+            q: self.q,
+            v_node: self.v_node,
+            host: Some((r, r_node)),
+        };
+        root_bool(eval(&self.root, &scope)?)
+    }
+}
+
+fn root_bool(v: Value<'_>) -> Result<bool, EvalError> {
     match v {
         Value::Bool(b) => Ok(b),
         Value::Missing => Ok(false),
@@ -149,73 +298,177 @@ fn root_bool(v: Value) -> Result<bool, EvalError> {
     }
 }
 
-enum Scope<'c, 'a> {
-    Edge(&'c EdgeCtx<'a>),
-    Node(&'c NodeCtx<'a>),
+/// The elements one walk reads: a query edge and the host edge it maps
+/// onto, or a query node and a host node. The host side is `None` only
+/// while a binding folds subtrees that read no host element.
+enum Scope<'v> {
+    Edge {
+        q: &'v Network,
+        v_edge: EdgeId,
+        v_src: NodeId,
+        v_dst: NodeId,
+        /// Host network, edge, and the nodes `v_src` and `v_dst` map to.
+        host: Option<(&'v Network, EdgeId, NodeId, NodeId)>,
+    },
+    Node {
+        q: &'v Network,
+        v_node: NodeId,
+        host: Option<(&'v Network, NodeId)>,
+    },
 }
 
-fn load(scope: &Scope<'_, '_>, obj: Object, attr: Option<AttrId>) -> Result<Value, EvalError> {
-    let Some(attr) = attr else {
-        return Ok(Value::Missing);
-    };
-    let raw: Option<&AttrValue> = match scope {
-        Scope::Edge(c) => match obj {
-            Object::VEdge => c.q.edge_attr(c.v_edge, attr),
-            Object::REdge => c.r.edge_attr(c.r_edge, attr),
-            Object::VSource => c.q.node_attr(c.v_src, attr),
-            Object::VTarget => c.q.node_attr(c.v_dst, attr),
-            Object::RSource => c.r.node_attr(c.r_src, attr),
-            Object::RTarget => c.r.node_attr(c.r_dst, attr),
-            Object::VNode | Object::RNode => {
-                return Err(EvalError::ObjectUnavailable(obj));
-            }
-        },
-        Scope::Node(c) => match obj {
-            Object::VNode => c.q.node_attr(c.v_node, attr),
-            Object::RNode => c.r.node_attr(c.r_node, attr),
-            // The edge-context objects are meaningless when matching a
-            // lone node.
-            _ => return Err(EvalError::ObjectUnavailable(obj)),
-        },
-    };
-    Ok(match raw {
-        Some(AttrValue::Num(x)) => Value::Num(*x),
-        Some(AttrValue::Bool(b)) => Value::Bool(*b),
-        Some(AttrValue::Str(s)) => Value::Str(s.clone()),
-        None => Value::Missing,
-    })
-}
-
-fn eval(node: &Node, scope: &Scope<'_, '_>) -> Result<Value, EvalError> {
-    match node {
-        Node::Num(x) => Ok(Value::Num(*x)),
-        Node::Str(s) => Ok(Value::Str(s.clone())),
-        Node::Bool(b) => Ok(Value::Bool(*b)),
-        Node::Attr(o, a) => load(scope, *o, *a),
-        Node::Unary(op, e) => {
-            let v = eval(e, scope)?;
-            match (op, v) {
-                (_, Value::Missing) => Ok(Value::Missing),
-                (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                (UnOp::Neg, Value::Num(x)) => Ok(Value::Num(-x)),
-                (UnOp::Not, v) => Err(EvalError::TypeMismatch {
-                    op: "!",
-                    left: v.type_name(),
-                    right: "",
-                }),
-                (UnOp::Neg, v) => Err(EvalError::TypeMismatch {
-                    op: "-",
-                    left: v.type_name(),
-                    right: "",
-                }),
-            }
+impl Scope<'_> {
+    /// Whether `obj` names a host element of this context.
+    fn is_host(&self, obj: Object) -> bool {
+        match self {
+            Scope::Edge { .. } => matches!(obj, Object::REdge | Object::RSource | Object::RTarget),
+            Scope::Node { .. } => obj == Object::RNode,
         }
-        Node::Binary(op, l, r) => eval_binary(*op, l, r, scope),
-        Node::Call(f, args) => eval_call(*f, args, scope),
+    }
+
+    /// Whether evaluating `node` reads a host element.
+    fn reads_host(&self, node: &Node<'_>) -> bool {
+        match node {
+            Node::Attr(obj, Some(_)) => self.is_host(*obj),
+            Node::Attr(_, None) | Node::Const(_) | Node::Str(_) => false,
+            Node::Unary(_, e) => self.reads_host(e),
+            Node::Binary(_, l, r) => self.reads_host(l) || self.reads_host(r),
+            Node::Call(_, args) => args.iter().any(|a| self.reads_host(a)),
+            Node::HostOp { .. } => true,
+        }
     }
 }
 
-fn eval_binary(op: BinOp, l: &Node, r: &Node, scope: &Scope<'_, '_>) -> Result<Value, EvalError> {
+/// The bound form of `node` over the query side of `scope` (whose host
+/// side is `None`): every subtree that reads no host element becomes the
+/// constant the evaluator gives it, and a strict operator over a host
+/// attribute and an `Ok` constant becomes a [`Node::HostOp`] leaf.
+fn bind<'a>(node: &'a Node<'a>, scope: &Scope<'a>) -> Node<'a> {
+    if !scope.reads_host(node) {
+        return Node::Const(eval(node, scope));
+    }
+    match node {
+        Node::Unary(op, e) => Node::Unary(*op, Box::new(bind(e, scope))),
+        Node::Binary(op, l, r) => {
+            let (l, r) = (bind(l, scope), bind(r, scope));
+            let strict = !matches!(op, BinOp::And | BinOp::Or);
+            match (&l, &r) {
+                (Node::Attr(obj, Some(attr)), Node::Const(Ok(lit))) if strict => Node::HostOp {
+                    op: *op,
+                    obj: *obj,
+                    attr: *attr,
+                    lit: *lit,
+                    host_left: true,
+                },
+                (Node::Const(Ok(lit)), Node::Attr(obj, Some(attr))) if strict => Node::HostOp {
+                    op: *op,
+                    obj: *obj,
+                    attr: *attr,
+                    lit: *lit,
+                    host_left: false,
+                },
+                _ => Node::Binary(*op, Box::new(l), Box::new(r)),
+            }
+        }
+        Node::Call(f, args) => Node::Call(*f, args.iter().map(|a| bind(a, scope)).collect()),
+        // A host attribute, or a leaf already bound.
+        leaf => leaf.clone(),
+    }
+}
+
+fn load<'v>(scope: &Scope<'v>, obj: Object, attr: Option<AttrId>) -> Result<Value<'v>, EvalError> {
+    let Some(attr) = attr else {
+        return Ok(Value::Missing);
+    };
+    if scope.is_host(obj) {
+        return Ok(load_host(scope, obj, attr));
+    }
+    let raw = match (scope, obj) {
+        (Scope::Edge { q, v_edge, .. }, Object::VEdge) => q.edge_attr(*v_edge, attr),
+        (Scope::Edge { q, v_src, .. }, Object::VSource) => q.node_attr(*v_src, attr),
+        (Scope::Edge { q, v_dst, .. }, Object::VTarget) => q.node_attr(*v_dst, attr),
+        (Scope::Node { q, v_node, .. }, Object::VNode) => q.node_attr(*v_node, attr),
+        // The node objects are meaningless when matching an edge, and
+        // the edge-context objects when matching a lone node.
+        _ => return Err(EvalError::ObjectUnavailable(obj)),
+    };
+    Ok(Value::of(raw))
+}
+
+/// `obj.attr` for a host object of the scope's context.
+#[inline(always)]
+fn load_host<'v>(scope: &Scope<'v>, obj: Object, attr: AttrId) -> Value<'v> {
+    let raw = match (scope, obj) {
+        (Scope::Edge { host: Some(h), .. }, Object::REdge) => h.0.edge_attr(h.1, attr),
+        (Scope::Edge { host: Some(h), .. }, Object::RSource) => h.0.node_attr(h.2, attr),
+        (Scope::Edge { host: Some(h), .. }, Object::RTarget) => h.0.node_attr(h.3, attr),
+        (Scope::Node { host: Some(h), .. }, Object::RNode) => h.0.node_attr(h.1, attr),
+        _ => unreachable!("host reads happen in their own context, never while folding"),
+    };
+    Value::of(raw)
+}
+
+/// The evaluator. Leaves a binding produces — constants and host
+/// operators — evaluate inline at the call site; inner nodes recurse
+/// through [`eval_inner`].
+#[inline(always)]
+fn eval<'v>(node: &'v Node<'v>, scope: &Scope<'v>) -> Result<Value<'v>, EvalError> {
+    match node {
+        Node::Const(v) => *v,
+        Node::HostOp {
+            op,
+            obj,
+            attr,
+            lit,
+            host_left,
+        } => {
+            let h = load_host(scope, *obj, *attr);
+            if *host_left {
+                strict(*op, h, *lit)
+            } else {
+                strict(*op, *lit, h)
+            }
+        }
+        _ => eval_inner(node, scope),
+    }
+}
+
+fn eval_inner<'v>(node: &'v Node<'v>, scope: &Scope<'v>) -> Result<Value<'v>, EvalError> {
+    match node {
+        Node::Str(s) => Ok(Value::Str(s)),
+        Node::Attr(o, a) => load(scope, *o, *a),
+        Node::Unary(op, e) => eval_unary(*op, e, scope),
+        Node::Binary(op, l, r) => eval_binary(*op, l, r, scope),
+        Node::Call(f, args) => eval_call(*f, args, scope),
+        Node::Const(_) | Node::HostOp { .. } => eval(node, scope),
+    }
+}
+
+fn eval_unary<'v>(op: UnOp, e: &'v Node<'v>, scope: &Scope<'v>) -> Result<Value<'v>, EvalError> {
+    let v = eval(e, scope)?;
+    match (op, v) {
+        (_, Value::Missing) => Ok(Value::Missing),
+        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        (UnOp::Neg, Value::Num(x)) => Ok(Value::Num(-x)),
+        (UnOp::Not, v) => Err(EvalError::TypeMismatch {
+            op: "!",
+            left: v.type_name(),
+            right: "",
+        }),
+        (UnOp::Neg, v) => Err(EvalError::TypeMismatch {
+            op: "-",
+            left: v.type_name(),
+            right: "",
+        }),
+    }
+}
+
+fn eval_binary<'v>(
+    op: BinOp,
+    l: &'v Node<'v>,
+    r: &'v Node<'v>,
+    scope: &Scope<'v>,
+) -> Result<Value<'v>, EvalError> {
     // Kleene logic with short-circuiting for && and ||.
     match op {
         BinOp::And => {
@@ -232,7 +485,7 @@ fn eval_binary(op: BinOp, l: &Node, r: &Node, scope: &Scope<'_, '_>) -> Result<V
                 }
             }
             let rv = eval(r, scope)?;
-            return match (lv, rv) {
+            match (lv, rv) {
                 (_, Value::Bool(false)) => Ok(Value::Bool(false)),
                 (Value::Missing, _) | (_, Value::Missing) => Ok(Value::Missing),
                 (_, Value::Bool(true)) => Ok(Value::Bool(true)),
@@ -241,7 +494,7 @@ fn eval_binary(op: BinOp, l: &Node, r: &Node, scope: &Scope<'_, '_>) -> Result<V
                     left: "bool",
                     right: other.type_name(),
                 }),
-            };
+            }
         }
         BinOp::Or => {
             let lv = eval(l, scope)?;
@@ -257,7 +510,7 @@ fn eval_binary(op: BinOp, l: &Node, r: &Node, scope: &Scope<'_, '_>) -> Result<V
                 }
             }
             let rv = eval(r, scope)?;
-            return match (lv, rv) {
+            match (lv, rv) {
                 (_, Value::Bool(true)) => Ok(Value::Bool(true)),
                 (Value::Missing, _) | (_, Value::Missing) => Ok(Value::Missing),
                 (_, Value::Bool(false)) => Ok(Value::Bool(false)),
@@ -266,32 +519,40 @@ fn eval_binary(op: BinOp, l: &Node, r: &Node, scope: &Scope<'_, '_>) -> Result<V
                     left: "bool",
                     right: other.type_name(),
                 }),
-            };
+            }
         }
-        _ => {}
+        _ => {
+            let lv = eval(l, scope)?;
+            let rv = eval(r, scope)?;
+            strict(op, lv, rv)
+        }
     }
+}
 
-    let lv = eval(l, scope)?;
-    let rv = eval(r, scope)?;
+/// A strict (non-short-circuit) binary operator over evaluated operands:
+/// `Missing` when either is, else the operator's value or a type
+/// mismatch.
+#[inline(always)]
+fn strict<'v>(op: BinOp, lv: Value<'v>, rv: Value<'v>) -> Result<Value<'v>, EvalError> {
     if lv.is_missing() || rv.is_missing() {
         return Ok(Value::Missing);
     }
-    let mismatch = |op: &'static str| EvalError::TypeMismatch {
-        op,
+    let mismatch = || EvalError::TypeMismatch {
+        op: op.symbol(),
         left: lv.type_name(),
         right: rv.type_name(),
     };
     match op {
         BinOp::Eq | BinOp::Ne => {
-            let eq = match (&lv, &rv) {
+            let eq = match (lv, rv) {
                 (Value::Num(a), Value::Num(b)) => a == b,
                 (Value::Bool(a), Value::Bool(b)) => a == b,
                 (Value::Str(a), Value::Str(b)) => a == b,
-                _ => return Err(mismatch(op.symbol())),
+                _ => return Err(mismatch()),
             };
             Ok(Value::Bool(if op == BinOp::Eq { eq } else { !eq }))
         }
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => match (&lv, &rv) {
+        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => match (lv, rv) {
             (Value::Num(a), Value::Num(b)) => Ok(Value::Bool(match op {
                 BinOp::Lt => a < b,
                 BinOp::Le => a <= b,
@@ -299,9 +560,9 @@ fn eval_binary(op: BinOp, l: &Node, r: &Node, scope: &Scope<'_, '_>) -> Result<V
                 BinOp::Ge => a >= b,
                 _ => unreachable!(),
             })),
-            _ => Err(mismatch(op.symbol())),
+            _ => Err(mismatch()),
         },
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => match (&lv, &rv) {
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => match (lv, rv) {
             (Value::Num(a), Value::Num(b)) => Ok(Value::Num(match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
@@ -312,13 +573,13 @@ fn eval_binary(op: BinOp, l: &Node, r: &Node, scope: &Scope<'_, '_>) -> Result<V
                 BinOp::Rem => a % b,
                 _ => unreachable!(),
             })),
-            _ => Err(mismatch(op.symbol())),
+            _ => Err(mismatch()),
         },
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+        BinOp::And | BinOp::Or => unreachable!("short-circuit operators are walked by eval_binary"),
     }
 }
 
-fn eval_call(f: Func, args: &[Node], scope: &Scope<'_, '_>) -> Result<Value, EvalError> {
+fn eval_call<'v>(f: Func, args: &'v [Node<'v>], scope: &Scope<'v>) -> Result<Value<'v>, EvalError> {
     match f {
         Func::IsBoundTo => {
             // isBoundTo(v, r): vacuously true when the first (query-side)
@@ -332,7 +593,7 @@ fn eval_call(f: Func, args: &[Node], scope: &Scope<'_, '_>) -> Result<Value, Eva
             if b.is_missing() {
                 return Ok(Value::Bool(false));
             }
-            let eq = match (&a, &b) {
+            let eq = match (a, b) {
                 (Value::Num(x), Value::Num(y)) => x == y,
                 (Value::Bool(x), Value::Bool(y)) => x == y,
                 (Value::Str(x), Value::Str(y)) => x == y,
@@ -371,13 +632,11 @@ fn eval_call(f: Func, args: &[Node], scope: &Scope<'_, '_>) -> Result<Value, Eva
         Func::Min | Func::Max => {
             let a = eval(&args[0], scope)?;
             let b = eval(&args[1], scope)?;
-            match (&a, &b) {
+            match (a, b) {
                 (Value::Missing, _) | (_, Value::Missing) => Ok(Value::Missing),
-                (Value::Num(x), Value::Num(y)) => Ok(Value::Num(if f == Func::Min {
-                    x.min(*y)
-                } else {
-                    x.max(*y)
-                })),
+                (Value::Num(x), Value::Num(y)) => {
+                    Ok(Value::Num(if f == Func::Min { x.min(y) } else { x.max(y) }))
+                }
                 _ => Err(EvalError::TypeMismatch {
                     op: f.name(),
                     left: a.type_name(),

@@ -11,8 +11,14 @@
 //!   `vSource`, `vTarget`, `rSource`, `rTarget`) plus the node-context
 //!   extension (`vNode`, `rNode`);
 //! * [`parser`] — recursive-descent parser with Java operator precedence;
-//! * [`compile`] — schema-resolved compilation and the hot-path evaluator;
-//! * [`value`] — runtime values with `Missing` (absent attribute) semantics;
+//! * [`compile`] — schema-resolved compilation, binding to one query
+//!   element ([`Compiled::bind_edge`], [`Compiled::bind_node`]: the query
+//!   side is folded once, host attribute comparisons become single
+//!   leaves, and folding never crosses a short-circuit, so bound and
+//!   one-shot evaluations agree error for error), and the one hot-path
+//!   evaluator both kinds of call share;
+//! * [`value`] — runtime values with `Missing` (absent attribute)
+//!   semantics, borrowing their strings so evaluation never clones one;
 //! * [`bounds`] — abstract interpretation over aggregated attribute
 //!   bounds with a tri-state [`Verdict`], the
 //!   soundness layer beneath the multilevel substrate hierarchy.
@@ -55,7 +61,7 @@ pub mod value;
 
 pub use ast::{BinOp, Expr, Func, Object, UnOp};
 pub use bounds::{AbsEdgeCtx, AbsNodeCtx, AttrBounds, BoundsMap, Verdict};
-pub use compile::{Compiled, EdgeCtx, NodeCtx};
+pub use compile::{BoundEdge, BoundNode, Compiled, EdgeCtx, NodeCtx};
 pub use parser::{parse, ParseError};
 pub use types::{check_constraint, infer, Ty, TypeError};
 pub use value::{EvalError, Value};

@@ -1,8 +1,8 @@
 //! Runtime values and evaluation errors for constraint expressions.
 
 use crate::ast::Object;
+use netgraph::AttrValue;
 use std::fmt;
-use std::sync::Arc;
 
 /// Runtime value of a (sub)expression.
 ///
@@ -14,19 +14,33 @@ use std::sync::Arc;
 /// built-ins observe missingness directly — that is what gives
 /// `isBoundTo(vSource.osType, rSource.osType)` the paper's semantics of
 /// constraining only those query nodes that carry the attribute.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+///
+/// Strings are borrowed from the networks or the compiled expression, so
+/// a value is `Copy` and evaluating never touches a reference count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'a> {
     /// Numeric value.
     Num(f64),
     /// Boolean value.
     Bool(bool),
     /// String value.
-    Str(Arc<str>),
+    Str(&'a str),
     /// Absent attribute.
     Missing,
 }
 
-impl Value {
+impl<'a> Value<'a> {
+    /// The value of a stored attribute, `Missing` when it is absent.
+    #[inline]
+    pub(crate) fn of(attr: Option<&'a AttrValue>) -> Value<'a> {
+        match attr {
+            Some(AttrValue::Num(x)) => Value::Num(*x),
+            Some(AttrValue::Bool(b)) => Value::Bool(*b),
+            Some(AttrValue::Str(s)) => Value::Str(s),
+            None => Value::Missing,
+        }
+    }
+
     /// Type name for diagnostics.
     pub fn type_name(&self) -> &'static str {
         match self {
@@ -44,7 +58,7 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
+impl fmt::Display for Value<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Num(x) => write!(f, "{x}"),
@@ -58,7 +72,7 @@ impl fmt::Display for Value {
 /// Evaluation error. The embedding engine surfaces type errors to the user
 /// (they indicate a malformed query) while `Missing` results merely reject
 /// the candidate pair.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EvalError {
     /// Operator applied to operands of the wrong type.
     TypeMismatch {
@@ -101,7 +115,7 @@ mod tests {
     fn display_and_types() {
         assert_eq!(Value::Num(1.5).to_string(), "1.5");
         assert_eq!(Value::Bool(true).to_string(), "true");
-        assert_eq!(Value::Str("x".into()).to_string(), "\"x\"");
+        assert_eq!(Value::Str("x").to_string(), "\"x\"");
         assert_eq!(Value::Missing.to_string(), "<missing>");
         assert!(Value::Missing.is_missing());
         assert_eq!(Value::Num(0.0).type_name(), "num");

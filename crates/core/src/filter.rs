@@ -68,6 +68,17 @@
 //! the same, in `O(Σ deg x)` plus a `⌈|ER|/64⌉`-word sweep of the marks
 //! per query edge instead of `O(|ER|)`.
 //!
+//! That cuts the *number* of evaluations; binding cuts the *cost* of
+//! each. The scan binds the edge constraint to each query edge once
+//! ([`Problem::bind_edge`]) and the node prefilter binds the node
+//! constraint to each query node once ([`Problem::bind_node`]): every
+//! subtree that reads no host element is folded, so an evaluation reads
+//! the host attributes and little else (`rEdge.maxDelay <= vEdge.dmax`
+//! becomes one attribute read and one comparison). A bound evaluation
+//! returns what the one-shot [`Problem::edge_ok`] returns, error for
+//! error, so hits, their order, `constraint_evals` and the first
+//! evaluation error of a build are those of the unbound walk.
+//!
 //! ## Parallel construction
 //!
 //! The evaluation scan is embarrassingly parallel over *query edges*:
@@ -99,6 +110,7 @@ use crate::deadline::Deadline;
 use crate::pool::WorkerPool;
 use crate::problem::{Problem, ProblemError};
 use crate::stats::SearchStats;
+use cexpr::BoundNode;
 use netgraph::{EdgeId, EdgeRef, NodeBitSet, NodeId};
 use rustc_hash::FxHashSet;
 
@@ -477,7 +489,8 @@ struct ScanOut {
 /// (`⌈|ER|/64⌉` words) per query edge instead of `O(|ER|)`. Id order
 /// matters for speed: host edges and their attributes are stored in it,
 /// and evaluating in adjacency order instead halved the evaluation rate
-/// of a flat build on a dense 296-node host.
+/// of a flat build on a dense 296-node host. The edge constraint is bound
+/// to each query edge once, before its marked edges are evaluated.
 ///
 /// This is the shared worker body of both the sequential and the
 /// parallel build — identical logic, so chunked runs concatenate to
@@ -507,6 +520,7 @@ fn scan_query_edges(
     'outer: for qe in qedges {
         let (a, b) = (qe.src, qe.dst);
         let (pass_a, pass_b) = (&node_pass[a.index()], &node_pass[b.index()]);
+        let check = problem.bind_edge(qe.id, a, b);
         // A match `a→u, b→v` fills `(a, u, b) ← v` forward and `(b, v, a)
         // ← u` forward when undirected, in the reverse table when not.
         let ab = fwd_slots.get(a, b).slot;
@@ -565,7 +579,7 @@ fn scan_query_edges(
                 // Orientation 1: a→u, b→v.
                 if pass_a.contains(u) && pass_b.contains(v) {
                     out.evals += 1;
-                    if problem.edge_ok(qe.id, a, b, e, u, v)? {
+                    if check.eval(host, e, u, v)? {
                         record(&mut out, u, v);
                     }
                 }
@@ -577,7 +591,7 @@ fn scan_query_edges(
                 // totals comparable.
                 if pass_a.contains(v) && pass_b.contains(u) {
                     out.evals += 1;
-                    if undirected && problem.edge_ok(qe.id, a, b, e, v, u)? {
+                    if undirected && check.eval(host, e, v, u)? {
                         record(&mut out, v, u);
                     }
                 }
@@ -624,36 +638,66 @@ pub enum PatchOutcome {
     NeedsRebuild,
 }
 
-/// Memoized node-admissibility probe for [`FilterMatrix::patch`]: the
-/// tri-state `memo` (0 unknown / 1 admissible / 2 not) caches verdicts
-/// per `(v, r)` so repeated probes of the same pair across host edges
-/// evaluate the node constraint once, exactly mirroring the gate in
-/// [`node_admissible_within`].
-#[allow(clippy::too_many_arguments)]
-fn admit_memo(
-    problem: &Problem<'_>,
-    qdeg: &[(usize, usize)],
-    memo: &mut [u8],
-    nr: usize,
-    v: NodeId,
-    r: NodeId,
-    stats: &mut SearchStats,
-) -> Result<bool, ProblemError> {
-    let idx = v.index() * nr + r.index();
-    match memo[idx] {
-        1 => return Ok(true),
-        2 => return Ok(false),
-        _ => {}
+/// Memoized node admission for [`FilterMatrix::patch`], over the host
+/// nodes the patch touches only: the gate of [`node_admissible_within`]
+/// (degree, then the node constraint bound once per query node),
+/// evaluated at most once per (query node, touched host node) pair.
+struct PatchAdmission<'p> {
+    problem: &'p Problem<'p>,
+    /// In- and out-degree per query node.
+    qdeg: Vec<(usize, usize)>,
+    /// The node constraint bound to each query node, if any.
+    checks: Vec<Option<BoundNode<'p>>>,
+    /// The touched host nodes, ascending: the dirty nodes and every
+    /// endpoint of a dirty-incident host edge.
+    touched: Vec<NodeId>,
+    /// `memo[v * touched.len() + k]` for the `k`-th touched node:
+    /// 0 unknown, 1 admissible, 2 not.
+    memo: Vec<u8>,
+}
+
+impl<'p> PatchAdmission<'p> {
+    fn new(problem: &'p Problem<'p>, touched: Vec<NodeId>) -> Self {
+        let query = problem.query;
+        PatchAdmission {
+            problem,
+            qdeg: query
+                .node_ids()
+                .map(|v| (query.neighbors(v).len(), query.in_neighbors(v).len()))
+                .collect(),
+            checks: query.node_ids().map(|v| problem.bind_node(v)).collect(),
+            memo: vec![0; query.node_count() * touched.len()],
+            touched,
+        }
     }
-    let (v_out, v_in) = qdeg[v.index()];
-    let mut ok =
-        problem.host.neighbors(r).len() >= v_out && problem.host.in_neighbors(r).len() >= v_in;
-    if ok && problem.has_node_expr() {
-        stats.constraint_evals += 1;
-        ok = problem.node_ok(v, r)?;
+
+    /// Whether `v → r` passes the gate, for a touched host node `r`.
+    fn admit(
+        &mut self,
+        v: NodeId,
+        r: NodeId,
+        stats: &mut SearchStats,
+    ) -> Result<bool, ProblemError> {
+        let k = self
+            .touched
+            .binary_search(&r)
+            .expect("a patch probes touched host nodes only");
+        let idx = v.index() * self.touched.len() + k;
+        match self.memo[idx] {
+            1 => return Ok(true),
+            2 => return Ok(false),
+            _ => {}
+        }
+        let host = self.problem.host;
+        let (v_out, v_in) = self.qdeg[v.index()];
+        let mut ok = host.neighbors(r).len() >= v_out && host.in_neighbors(r).len() >= v_in;
+        if let (true, Some(check)) = (ok, &self.checks[v.index()]) {
+            stats.constraint_evals += 1;
+            ok = check.eval(host, r)?;
+        }
+        self.memo[idx] = if ok { 1 } else { 2 };
+        Ok(ok)
     }
-    memo[idx] = if ok { 1 } else { 2 };
-    Ok(ok)
 }
 
 /// Confirm one re-scanned hit against the frozen table: present → record
@@ -702,7 +746,8 @@ pub(crate) fn node_admissible(
 /// host nodes are examined — the degree gate and node constraint are
 /// never evaluated outside the surviving super-node subtrees, which is
 /// where the hierarchy's `O(levels)` vs `O(|VR|)` admission win comes
-/// from on large substrates.
+/// from on large substrates. The node constraint is bound to each query
+/// node once, before its host nodes are examined.
 pub(crate) fn node_admissible_within(
     problem: &Problem<'_>,
     stats: &mut SearchStats,
@@ -716,14 +761,15 @@ pub(crate) fn node_admissible_within(
             problem.query.neighbors(v).len(),
             problem.query.in_neighbors(v).len(),
         );
+        let check = problem.bind_node(v);
         let admit = |r: NodeId, stats: &mut SearchStats| -> Result<bool, ProblemError> {
             if problem.host.neighbors(r).len() < v_out || problem.host.in_neighbors(r).len() < v_in
             {
                 return Ok(false);
             }
-            if problem.has_node_expr() {
+            if let Some(check) = &check {
                 stats.constraint_evals += 1;
-                if !problem.node_ok(v, r)? {
+                if !check.eval(problem.host, r)? {
                     return Ok(false);
                 }
             }
@@ -1035,6 +1081,20 @@ impl FilterMatrix {
     /// `NeedsRebuild` — never a partial repair. `stats` accrues
     /// `constraint_evals` for the re-scan and `filter_cells` on
     /// success.
+    ///
+    /// Cost: the re-scan is output-sensitive. It collects the
+    /// dirty-incident host edges from the dirty nodes' adjacency (in-edges
+    /// too on a directed host), sorts them into id order, and evaluates
+    /// them per query edge in that order — the order a sweep over every
+    /// host edge would meet them in, so the outcome, `constraint_evals`
+    /// and the first error or `NeedsRebuild` are that sweep's. Admission
+    /// is memoized for the touched host nodes only (the dirty nodes and
+    /// the endpoints of their edges), and both constraints are bound once
+    /// per query element. With `D` the dirty-incident host edges, the
+    /// re-scan costs `O(|D| log |D| + |EQ| · |D|)`, nothing per host edge
+    /// or node; the removal pass sweeps the rows and arena once
+    /// (`O(Σ_slots |base[vj]| + entries)`) and re-derives the rank index
+    /// in `O(nq · ⌈|VR|/64⌉)`.
     pub fn patch(
         &mut self,
         problem: &Problem<'_>,
@@ -1061,41 +1121,48 @@ impl FilterMatrix {
             dirty_set.insert(d);
         }
         let undirected = problem.query.is_undirected();
-        let qdeg: Vec<(usize, usize)> = problem
-            .query
-            .node_ids()
-            .map(|v| {
-                (
-                    problem.query.neighbors(v).len(),
-                    problem.query.in_neighbors(v).len(),
-                )
-            })
-            .collect();
-        let mut memo = vec![0u8; nq * nr];
+        let host = problem.host;
+        // The dirty-incident host edges, from the dirty nodes' adjacency
+        // (in-edges too on a directed host), in id order: the order a
+        // sweep over every host edge meets them in.
+        let mut edges: Vec<EdgeId> = Vec::new();
+        for d in dirty_set.iter() {
+            edges.extend(host.neighbors(d).iter().map(|&(_, e)| e));
+            if !undirected {
+                edges.extend(host.in_neighbors(d).iter().map(|&(_, e)| e));
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let mut touched: Vec<NodeId> = dirty_set.iter().collect();
+        for &e in &edges {
+            let (u, v) = host.edge_endpoints(e);
+            touched.extend([u, v]);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let mut admission = PatchAdmission::new(problem, touched);
         let mut keep_fwd: FxHashSet<Hit> = FxHashSet::default();
         let mut keep_rev: FxHashSet<Hit> = FxHashSet::default();
         let base = &self.base;
 
         // Re-scan pass: regenerate the hits of every dirty-incident host
         // edge under the new epoch, mirroring `scan_query_edges` exactly
-        // (orientations, admissibility gate, eval accounting). Any
-        // regenerated hit missing from the frozen arena is an addition.
+        // (orientations, admissibility gate, eval accounting, id order).
+        // Any regenerated hit missing from the frozen arena is an
+        // addition.
         for qe in problem.query.edge_refs() {
             let (a, b) = (qe.src, qe.dst);
-            for he in problem.host.edge_refs() {
-                let (u, v) = (he.src, he.dst);
-                if !dirty_set.contains(u) && !dirty_set.contains(v) {
-                    continue;
-                }
+            let check = problem.bind_edge(qe.id, a, b);
+            for &e in &edges {
+                let (u, v) = host.edge_endpoints(e);
                 if deadline.expired() {
                     return Ok(PatchOutcome::NeedsRebuild);
                 }
                 // Orientation 1: a→u, b→v.
-                if admit_memo(problem, &qdeg, &mut memo, nr, a, u, stats)?
-                    && admit_memo(problem, &qdeg, &mut memo, nr, b, v, stats)?
-                {
+                if admission.admit(a, u, stats)? && admission.admit(b, v, stats)? {
                     stats.constraint_evals += 1;
-                    if problem.edge_ok(qe.id, a, b, he.id, u, v)? {
+                    if check.eval(host, e, u, v)? {
                         if !confirm_hit(&self.fwd, base, &mut keep_fwd, a, u, b, v) {
                             return Ok(PatchOutcome::NeedsRebuild);
                         }
@@ -1111,12 +1178,10 @@ impl FilterMatrix {
                 }
                 // Orientation 2: a→v, b→u (a recorded hit only when
                 // undirected, exactly as in the build scan).
-                if admit_memo(problem, &qdeg, &mut memo, nr, a, v, stats)?
-                    && admit_memo(problem, &qdeg, &mut memo, nr, b, u, stats)?
-                {
+                if admission.admit(a, v, stats)? && admission.admit(b, u, stats)? {
                     stats.constraint_evals += 1;
                     if undirected
-                        && problem.edge_ok(qe.id, a, b, he.id, v, u)?
+                        && check.eval(host, e, v, u)?
                         && (!confirm_hit(&self.fwd, base, &mut keep_fwd, a, v, b, u)
                             || !confirm_hit(&self.fwd, base, &mut keep_fwd, b, u, a, v))
                     {
@@ -1135,7 +1200,7 @@ impl FilterMatrix {
                 continue;
             }
             for r in dirty_set.iter() {
-                let now = admit_memo(problem, &qdeg, &mut memo, nr, v, r, stats)?;
+                let now = admission.admit(v, r, stats)?;
                 let was = base.sets[v.index()].contains(r);
                 if now && !was {
                     return Ok(PatchOutcome::NeedsRebuild);
@@ -1466,6 +1531,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cexpr::EvalError;
     use netgraph::{Direction, Network};
 
     /// Host: path u - v - w with delays 5, 50; query: single edge.
@@ -1616,14 +1682,55 @@ mod tests {
 
     #[test]
     fn type_error_surfaces() {
-        let (q, h) = fixture();
-        let p = Problem::new(&q, &h, "rEdge.d == \"fast\"").unwrap();
-        let mut d = Deadline::unlimited();
-        let mut s = SearchStats::default();
-        assert!(matches!(
-            FilterMatrix::build(&p, &mut d, &mut s),
-            Err(ProblemError::Eval(_))
-        ));
+        let (mut q, mut h) = fixture();
+        let build_err = |q: &Network, h: &Network, c: &str| {
+            let p = Problem::new(q, h, c).unwrap();
+            let mut d = Deadline::unlimited();
+            let mut s = SearchStats::default();
+            FilterMatrix::build(&p, &mut d, &mut s).err()
+        };
+        let mismatch = |op, left, right| {
+            Some(ProblemError::Eval(EvalError::TypeMismatch {
+                op,
+                left,
+                right,
+            }))
+        };
+        // Host side: every host edge's `d` is a number.
+        assert_eq!(
+            build_err(&q, &h, "rEdge.d == \"fast\""),
+            mismatch("==", "num", "string")
+        );
+
+        // Query side behind a host-side guard: raised once a host edge
+        // passes the guard (u-v, d = 5)...
+        q.set_edge_attr(EdgeId(0), "name", "a-b");
+        assert_eq!(
+            build_err(&q, &h, "rEdge.d < 10.0 && vEdge.name > 1.0"),
+            mismatch(">", "string", "num")
+        );
+        // ...and never when none passes: a clean build with the guard's
+        // own evaluation count.
+        let (clean, s) = build(&q, &h, "rEdge.d < 1.0 && vEdge.name > 1.0");
+        let (guard_only, s_guard) = build(&q, &h, "rEdge.d < 1.0");
+        assert!(clean == guard_only);
+        assert_eq!(s.constraint_evals, s_guard.constraint_evals);
+
+        // The same for a node constraint: only u carries enough CPU. (A
+        // host node without `cpu` would not stop the walk: `missing &&`
+        // evaluates its right arm.)
+        q.set_node_attr(NodeId(0), "name", "a");
+        for (r, cpu) in [8.0, 1.0, 2.0].into_iter().enumerate() {
+            h.set_node_attr(NodeId(r as u32), "cpu", cpu);
+        }
+        assert_eq!(
+            build_err(&q, &h, "rNode.cpu >= 4.0 && vNode.name > 1.0"),
+            mismatch(">", "string", "num")
+        );
+        let (clean, s) = build(&q, &h, "rNode.cpu >= 16.0 && vNode.name > 1.0");
+        let (guard_only, s_guard) = build(&q, &h, "rNode.cpu >= 16.0");
+        assert!(clean == guard_only);
+        assert_eq!(s.constraint_evals, s_guard.constraint_evals);
     }
 
     #[test]

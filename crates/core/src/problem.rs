@@ -4,8 +4,18 @@
 //! The constraint expression is an input *separate from* the query topology
 //! (§VI-B): callers can tighten or relax it without touching the GraphML,
 //! which is what the service layer's negotiation loop relies on.
+//!
+//! A constraint is checked two ways over one evaluator. The one-shot
+//! [`Problem::edge_ok`] / [`Problem::node_ok`] walk the compiled tree and
+//! allocate nothing: verification, local search and the baselines check
+//! each pair once. The filter build checks one query element against
+//! many host elements, so it binds first: [`Problem::bind_edge`] /
+//! [`Problem::bind_node`] fold the query side once (see
+//! [`cexpr::compile`]) and give the same result, error for error.
 
-use cexpr::{parse, BinOp, Compiled, EdgeCtx, EvalError, Expr, NodeCtx, ParseError};
+use cexpr::{
+    parse, BinOp, BoundEdge, BoundNode, Compiled, EdgeCtx, EvalError, Expr, NodeCtx, ParseError,
+};
 use netgraph::{EdgeId, Network, NodeId};
 use std::fmt;
 
@@ -251,6 +261,23 @@ impl<'a> Problem<'a> {
                 r_node: r,
             }),
         }
+    }
+
+    /// The edge constraint bound to query edge `v_edge` (`v_src → v_dst`):
+    /// `bound.eval(self.host, r_edge, r_src, r_dst)` equals
+    /// `self.edge_ok(v_edge, v_src, v_dst, r_edge, r_src, r_dst)` for every
+    /// host edge and orientation, with the query side folded once. Binding
+    /// allocates the folded tree, so it pays for a query edge checked
+    /// against many host edges, as in the filter build.
+    pub fn bind_edge(&self, v_edge: EdgeId, v_src: NodeId, v_dst: NodeId) -> BoundEdge<'_> {
+        self.edge_expr.bind_edge(self.query, v_edge, v_src, v_dst)
+    }
+
+    /// The node constraint bound to query node `v`, or `None` when no node
+    /// constraint was supplied (every host node passes):
+    /// `bound.eval(self.host, r)` equals `self.node_ok(v, r)`.
+    pub fn bind_node(&self, v: NodeId) -> Option<BoundNode<'_>> {
+        self.node_expr.as_ref().map(|c| c.bind_node(self.query, v))
     }
 
     /// Check one candidate pair `(v_src→r_src, v_dst→r_dst)` for query edge
